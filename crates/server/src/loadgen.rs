@@ -223,7 +223,9 @@ mod tests {
 
     #[test]
     fn open_loop_sheds_under_overload() {
-        // One worker, tiny queue, arrivals far faster than service.
+        // One worker, tiny queue, arrivals far faster than service. The
+        // transactions are generated up front: generating one inline takes
+        // longer than serving it, which would keep the queue from filling.
         let server = Server::start(ServerConfig {
             kind: AllocatorKind::PhpDefault,
             workers: 1,
@@ -232,7 +234,12 @@ mod tests {
             static_bytes: 1 << 16,
             ..ServerConfig::default()
         });
-        drive_open(&server.ingress(), TxFactory::new(phpbb(), 64, 5), 40, 1e6);
+        let mut factory = TxFactory::new(phpbb(), 64, 5);
+        let txs: Vec<Transaction> = (0..40).map(|_| factory.next_tx()).collect();
+        let ingress = server.ingress();
+        for tx in txs {
+            ingress.submit(tx);
+        }
         let report = server.finish();
         assert_eq!(report.submitted, 40);
         assert_eq!(report.completed + report.shed, 40);

@@ -9,8 +9,9 @@
 //! The simulator provides everything the paper measured with real hardware
 //! and OProfile:
 //!
-//! * a sparse simulated address space with real backing bytes
-//!   ([`SimMemory`]), so allocators keep their metadata *in* simulated RAM;
+//! * a simulated address space with real backing bytes, 4 KB frames in a
+//!   dense directory ([`SimMemory`]), so allocators keep their metadata
+//!   *in* simulated RAM;
 //! * set-associative L1I/L1D caches per core, a shared L2 per sharing
 //!   group, and a split D-TLB with 4 KB and 4 MB pages
 //!   ([`Cache`], [`Tlb`], [`MemHierarchy`]);

@@ -1,24 +1,35 @@
-//! Sparse simulated memory with real backing bytes.
+//! Simulated memory with real backing bytes.
 //!
 //! Allocators in this repository keep their metadata (free-list links,
 //! boundary tags, size-class tables) *inside* the simulated address space,
 //! so that every metadata operation produces the same memory traffic it
 //! would on real hardware. [`SimMemory`] provides the backing store: a
-//! sparse map of 4 KB frames materialized on first touch, plus a tiny
-//! mmap-like reservation interface ([`SimMemory::os_alloc`]) standing in
-//! for the operating system.
+//! dense directory of 4 KB frames covering the process's reservation
+//! window, each frame materialized on first store, plus a tiny mmap-like
+//! reservation interface ([`SimMemory::os_alloc`]) standing in for the
+//! operating system.
 
 use crate::addr::Addr;
-use std::collections::HashMap;
 
 /// Backing frame granularity.
 const FRAME: u64 = 4096;
 
-/// A sparse byte-addressable memory image for one process.
+/// One materialized 4 KB frame.
+type Frame = [u8; FRAME as usize];
+
+/// A byte-addressable memory image for one process.
 ///
-/// Reads of never-written locations return zero, like freshly-mapped
-/// anonymous pages. The image also tracks how many bytes the "OS" has
-/// handed out, which the allocators' footprint accounting builds on.
+/// Frames live in a directory indexed by their distance from the base of
+/// the reservation window, so a load is a subtraction, a bounds check and
+/// an index. The directory grows on demand up to the highest frame ever
+/// stored to; frames below it stay unmaterialized until stored to.
+///
+/// Reads of never-written locations, and reads outside the reservation
+/// window `[base, brk)`, return zero, like freshly-mapped anonymous pages.
+/// Stores must fall inside the window: the OS never handed out anything
+/// else, so a store outside it is an allocator bug and panics. The image
+/// also tracks how many bytes the "OS" has handed out, which the
+/// allocators' footprint accounting builds on.
 ///
 /// # Examples
 ///
@@ -30,9 +41,12 @@ const FRAME: u64 = 4096;
 /// assert_eq!(m.read_u64(heap), 0xdead_beef);
 /// assert_eq!(m.read_u64(heap + 8), 0); // untouched → zero
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SimMemory {
-    frames: HashMap<u64, Box<[u8; FRAME as usize]>>,
+    /// Slot `i` backs frame number `base / FRAME + i`.
+    frames: Vec<Option<Box<Frame>>>,
+    /// Number of `Some` slots in `frames`.
+    materialized: u64,
     /// Next address handed out by `os_alloc`.
     brk: u64,
     /// First address of this process's reservation window.
@@ -49,7 +63,8 @@ impl SimMemory {
     /// simulated address as physical).
     pub fn new(base: u64) -> Self {
         SimMemory {
-            frames: HashMap::new(),
+            frames: Vec::new(),
+            materialized: 0,
             brk: base.max(FRAME),
             base: base.max(FRAME),
             reserved: 0,
@@ -76,9 +91,9 @@ impl SimMemory {
         self.reserved
     }
 
-    /// Bytes of backing frames actually materialized (touched).
+    /// Bytes of backing frames actually materialized (stored to).
     pub fn resident_bytes(&self) -> u64 {
-        self.frames.len() as u64 * FRAME
+        self.materialized * FRAME
     }
 
     /// The base of this process's reservation window.
@@ -86,15 +101,77 @@ impl SimMemory {
         Addr::new(self.base)
     }
 
+    /// Directory slot of the frame holding `addr`; wraps to a huge value
+    /// (never a valid slot) below the base frame.
     #[inline]
-    fn frame_mut(&mut self, addr: Addr) -> (&mut [u8; FRAME as usize], usize) {
-        let frame_no = addr.raw() / FRAME;
-        let off = (addr.raw() % FRAME) as usize;
-        let frame = self
-            .frames
-            .entry(frame_no)
-            .or_insert_with(|| Box::new([0u8; FRAME as usize]));
-        (frame, off)
+    fn slot(&self, addr: u64) -> usize {
+        (addr / FRAME).wrapping_sub(self.base / FRAME) as usize
+    }
+
+    /// The materialized frame holding `addr`, if any.
+    #[inline]
+    fn frame(&self, addr: u64) -> Option<&Frame> {
+        self.frames.get(self.slot(addr)).and_then(Option::as_deref)
+    }
+
+    /// The frame holding `addr`, materialized if needed, for a store of
+    /// `len` bytes at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[addr, addr + len)` is not inside `[base, brk)`.
+    #[inline]
+    fn frame_mut(&mut self, addr: u64, len: u64) -> &mut Frame {
+        assert!(
+            addr >= self.base && addr.checked_add(len).is_some_and(|end| end <= self.brk),
+            "{len}-byte store at {addr:#x} outside the reservation window [{:#x}, {:#x})",
+            self.base,
+            self.brk
+        );
+        let slot = self.slot(addr);
+        if slot >= self.frames.len() {
+            self.frames.resize_with(slot + 1, || None);
+        }
+        let materialized = &mut self.materialized;
+        self.frames[slot].get_or_insert_with(|| {
+            *materialized += 1;
+            Box::new([0u8; FRAME as usize])
+        })
+    }
+
+    /// Copies `len` bytes from `src` to `dst`, with the result of a
+    /// forward byte-by-byte copy: every destination frame is materialized
+    /// (also when the source was never written), and an overlapping
+    /// destination above the source repeats the source pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 0` and `[dst, dst + len)` is not inside the
+    /// reservation window.
+    pub fn copy(&mut self, dst: Addr, src: Addr, len: u64) {
+        let (dst, src) = (dst.raw(), src.raw());
+        // A run longer than the gap of a destination overlapping the source
+        // from above would read bytes this copy has yet to write.
+        let max_run = match dst.checked_sub(src) {
+            Some(gap) if gap > 0 && gap < len => gap,
+            _ => FRAME,
+        };
+        let mut buf = [0u8; FRAME as usize];
+        let mut done = 0;
+        while done < len {
+            let (s, d) = (src + done, dst + done);
+            let n = (FRAME - s % FRAME)
+                .min(FRAME - d % FRAME)
+                .min(len - done)
+                .min(max_run);
+            let (so, doff, n) = ((s % FRAME) as usize, (d % FRAME) as usize, n as usize);
+            match self.frame(s) {
+                Some(f) => buf[..n].copy_from_slice(&f[so..so + n]),
+                None => buf[..n].fill(0),
+            }
+            self.frame_mut(d, n as u64)[doff..doff + n].copy_from_slice(&buf[..n]);
+            done += n as u64;
+        }
     }
 
     /// Reads a little-endian `u64`. The access must not cross a frame
@@ -108,39 +185,41 @@ impl SimMemory {
             addr.raw() % FRAME <= FRAME - 8,
             "u64 read crosses frame boundary"
         );
-        let frame_no = addr.raw() / FRAME;
         let off = (addr.raw() % FRAME) as usize;
-        match self.frames.get(&frame_no) {
-            Some(f) => u64::from_le_bytes(f[off..off + 8].try_into().expect("8 bytes")),
-            None => 0,
-        }
+        self.frame(addr.raw()).map_or(0, |f| {
+            u64::from_le_bytes(f[off..off + 8].try_into().expect("8 bytes"))
+        })
     }
 
     /// Writes a little-endian `u64`.
     ///
     /// # Panics
     ///
-    /// Panics if the access crosses a 4 KB frame boundary.
+    /// Panics if the access crosses a 4 KB frame boundary or leaves the
+    /// reservation window.
     pub fn write_u64(&mut self, addr: Addr, val: u64) {
         assert!(
             addr.raw() % FRAME <= FRAME - 8,
             "u64 write crosses frame boundary"
         );
-        let (frame, off) = self.frame_mut(addr);
-        frame[off..off + 8].copy_from_slice(&val.to_le_bytes());
+        let off = (addr.raw() % FRAME) as usize;
+        self.frame_mut(addr.raw(), 8)[off..off + 8].copy_from_slice(&val.to_le_bytes());
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: Addr) -> u8 {
-        let frame_no = addr.raw() / FRAME;
         let off = (addr.raw() % FRAME) as usize;
-        self.frames.get(&frame_no).map_or(0, |f| f[off])
+        self.frame(addr.raw()).map_or(0, |f| f[off])
     }
 
     /// Writes one byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the reservation window.
     pub fn write_u8(&mut self, addr: Addr, val: u8) {
-        let (frame, off) = self.frame_mut(addr);
-        frame[off] = val;
+        let off = (addr.raw() % FRAME) as usize;
+        self.frame_mut(addr.raw(), 1)[off] = val;
     }
 
     /// Reads a little-endian `u32`.
@@ -153,26 +232,25 @@ impl SimMemory {
             addr.raw() % FRAME <= FRAME - 4,
             "u32 read crosses frame boundary"
         );
-        let frame_no = addr.raw() / FRAME;
         let off = (addr.raw() % FRAME) as usize;
-        match self.frames.get(&frame_no) {
-            Some(f) => u32::from_le_bytes(f[off..off + 4].try_into().expect("4 bytes")),
-            None => 0,
-        }
+        self.frame(addr.raw()).map_or(0, |f| {
+            u32::from_le_bytes(f[off..off + 4].try_into().expect("4 bytes"))
+        })
     }
 
     /// Writes a little-endian `u32`.
     ///
     /// # Panics
     ///
-    /// Panics if the access crosses a 4 KB frame boundary.
+    /// Panics if the access crosses a 4 KB frame boundary or leaves the
+    /// reservation window.
     pub fn write_u32(&mut self, addr: Addr, val: u32) {
         assert!(
             addr.raw() % FRAME <= FRAME - 4,
             "u32 write crosses frame boundary"
         );
-        let (frame, off) = self.frame_mut(addr);
-        frame[off..off + 4].copy_from_slice(&val.to_le_bytes());
+        let off = (addr.raw() % FRAME) as usize;
+        self.frame_mut(addr.raw(), 4)[off..off + 4].copy_from_slice(&val.to_le_bytes());
     }
 }
 
@@ -237,6 +315,74 @@ mod tests {
     fn straddling_u64_rejected() {
         let m = SimMemory::new(1 << 32);
         m.read_u64(Addr::new(4096 - 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the reservation window")]
+    fn store_beyond_brk_rejected() {
+        let mut m = SimMemory::new(1 << 32);
+        let a = m.os_alloc(64, 8);
+        m.write_u64(a + 64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the reservation window")]
+    fn store_below_base_rejected() {
+        let mut m = SimMemory::new(1 << 32);
+        m.os_alloc(4096, 4096);
+        m.write_u8(Addr::new((1 << 32) - 1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the reservation window")]
+    fn store_straddling_brk_rejected() {
+        let mut m = SimMemory::new(1 << 32);
+        let a = m.os_alloc(12, 8);
+        m.write_u64(a + 8, 1);
+    }
+
+    #[test]
+    fn high_store_grows_directory_without_materializing_below() {
+        let mut m = SimMemory::new(1 << 32);
+        let a = m.os_alloc(256 << 20, 4096);
+        let high = a + ((256 << 20) - 8);
+        m.write_u64(high, 7);
+        assert_eq!(m.frames.len(), (256 << 20) / FRAME as usize);
+        assert_eq!(m.resident_bytes(), FRAME);
+        assert_eq!(m.read_u64(high), 7);
+        assert_eq!(m.read_u64(a), 0);
+        // A store below the high-water frame fills in one slot, no growth.
+        m.write_u8(a + FRAME, 1);
+        assert_eq!(m.frames.len(), (256 << 20) / FRAME as usize);
+        assert_eq!(m.resident_bytes(), 2 * FRAME);
+    }
+
+    #[test]
+    fn copy_materializes_destination_even_from_untouched_source() {
+        let mut m = SimMemory::new(1 << 32);
+        let src = m.os_alloc(3 * FRAME, 4096);
+        let dst = m.os_alloc(3 * FRAME, 4096);
+        m.copy(dst + 100, src + 100, 2 * FRAME);
+        assert_eq!(m.resident_bytes(), 3 * FRAME);
+        m.copy(dst, src, 0);
+        assert_eq!(m.resident_bytes(), 3 * FRAME);
+    }
+
+    #[test]
+    fn overlapping_copy_matches_forward_byte_loop() {
+        let mut m = SimMemory::new(1 << 32);
+        let a = m.os_alloc(2 * FRAME, 4096);
+        for i in 0..8 {
+            m.write_u8(a + i, i as u8 + 1);
+        }
+        // Forward overlap by 3: the first 3 bytes repeat across the run.
+        m.copy(a + 3, a, 9);
+        let got: Vec<u8> = (0..12).map(|i| m.read_u8(a + i)).collect();
+        assert_eq!(got, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
+        // Backward overlap behaves like memmove.
+        m.copy(a, a + 2, 4);
+        let got: Vec<u8> = (0..6).map(|i| m.read_u8(a + i)).collect();
+        assert_eq!(got, [3, 1, 2, 3, 2, 3]);
     }
 
     #[test]

@@ -255,10 +255,7 @@ impl MemoryPort for ContextPort<'_> {
         self.touch(dst, len, true);
         self.hier.add_instructions(self.ctx, self.cat, len / 8 + 1);
         // Data model: byte-accurate copy.
-        for i in 0..len {
-            let b = self.proc.mem.read_u8(src + i);
-            self.proc.mem.write_u8(dst + i, b);
-        }
+        self.proc.mem.copy(dst, src, len);
     }
 
     fn exec(&mut self, n_instr: u64) {
@@ -405,10 +402,7 @@ impl MemoryPort for PlainPort {
 
     fn memcpy(&mut self, dst: Addr, src: Addr, len: u64) {
         self.instructions += len / 8 + 1;
-        for i in 0..len {
-            let b = self.mem.read_u8(src + i);
-            self.mem.write_u8(dst + i, b);
-        }
+        self.mem.copy(dst, src, len);
     }
 
     fn exec(&mut self, n_instr: u64) {

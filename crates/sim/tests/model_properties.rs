@@ -1,9 +1,12 @@
-//! Property-based tests of the cache and TLB models against reference
-//! implementations, plus invariants of the hierarchy's bookkeeping.
+//! Property-based tests of the cache, TLB and memory-image models against
+//! reference implementations, plus invariants of the hierarchy's
+//! bookkeeping.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use webmm_sim::{Addr, Cache, CacheConfig, MachineConfig, MemHierarchy, PageSize, Tlb, TlbConfig};
+use webmm_sim::{
+    Addr, Cache, CacheConfig, MachineConfig, MemHierarchy, PageSize, SimMemory, Tlb, TlbConfig,
+};
 
 /// Reference model of a set-associative LRU cache (naive, obviously
 /// correct): per set, a vector ordered by recency.
@@ -38,6 +41,133 @@ impl RefCache {
             }
             set.push(la);
             false
+        }
+    }
+}
+
+/// Reference model of `SimMemory` (naive, obviously correct): a map of
+/// 4 KB frames keyed by frame number, materialized on first store, and a
+/// byte-by-byte forward copy.
+#[derive(Default)]
+struct RefMem {
+    frames: HashMap<u64, [u8; 4096]>,
+}
+
+impl RefMem {
+    fn read(&self, addr: u64, width: u64) -> u64 {
+        (0..width).rev().fold(0, |acc, i| {
+            let a = addr + i;
+            let byte = self
+                .frames
+                .get(&(a / 4096))
+                .map_or(0, |f| f[(a % 4096) as usize]);
+            acc << 8 | u64::from(byte)
+        })
+    }
+
+    fn write(&mut self, addr: u64, width: u64, val: u64) {
+        for i in 0..width {
+            let a = addr + i;
+            let frame = self.frames.entry(a / 4096).or_insert([0; 4096]);
+            frame[(a % 4096) as usize] = (val >> (8 * i)) as u8;
+        }
+    }
+
+    fn copy(&mut self, dst: u64, src: u64, len: u64) {
+        for i in 0..len {
+            let b = self.read(src + i, 1);
+            self.write(dst + i, 1, b);
+        }
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.frames.len() as u64 * 4096
+    }
+}
+
+fn sim_read(m: &SimMemory, addr: u64, width: u64) -> u64 {
+    let a = Addr::new(addr);
+    match width {
+        1 => u64::from(m.read_u8(a)),
+        4 => u64::from(m.read_u32(a)),
+        _ => m.read_u64(a),
+    }
+}
+
+fn sim_write(m: &mut SimMemory, addr: u64, width: u64, val: u64) {
+    let a = Addr::new(addr);
+    match width {
+        1 => m.write_u8(a, val as u8),
+        4 => m.write_u32(a, val as u32),
+        _ => m.write_u64(a, val),
+    }
+}
+
+/// Places an access of `width` bytes inside `[start, start + len)`,
+/// aligned to `width` so it never crosses a frame; `seed`'s top bit pins
+/// it to the last `width` bytes (sparse writes at high offsets).
+fn place(start: u64, len: u64, width: u64, seed: u64) -> u64 {
+    let off = if seed >> 63 == 1 {
+        len - width
+    } else {
+        seed % (len - width + 1)
+    };
+    (start + off) & !(width - 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `SimMemory` agrees with the frame-map reference on every read and
+    /// on `resident_bytes()`, across mixed-width loads and stores and
+    /// copies over several reservations (one of them 256 MB), plus reads
+    /// below the base and beyond the break.
+    #[test]
+    fn sim_memory_matches_reference_frame_map(
+        ops in proptest::collection::vec((0u8..8, 0usize..4, any::<u64>(), any::<u64>()), 1..300),
+    ) {
+        let base = 1u64 << 36;
+        let mut m = SimMemory::new(base);
+        let regions: Vec<(u64, u64)> = [(100, 8), (3 * 4096 + 5, 64), (256 << 20, 4096), (32 << 10, 32 << 10)]
+            .iter()
+            .map(|&(len, align)| (m.os_alloc(len, align).raw(), len))
+            .collect();
+        let brk = regions.last().map(|&(start, len)| start + len).unwrap();
+        let mut model = RefMem::default();
+        for &(kind, region, seed, val) in &ops {
+            let (start, len) = regions[region];
+            let width = [1, 4, 8][usize::from(kind % 3)];
+            match kind {
+                0..=2 => {
+                    let addr = place(start, len, width, seed);
+                    sim_write(&mut m, addr, width, val);
+                    model.write(addr, width, val);
+                }
+                3..=5 => {
+                    // Region 0 doubles as "outside the window": below the
+                    // base or beyond the break, where reads are zero.
+                    let addr = match (region, seed % 3) {
+                        (0, 1) => (base - 4096 + seed % 4096) & !(width - 1),
+                        (0, 2) => (brk + seed % (1 << 20)) & !(width - 1),
+                        _ => place(start, len, width, seed),
+                    };
+                    prop_assert_eq!(sim_read(&m, addr, width), model.read(addr, width), "read at {:#x}", addr);
+                }
+                _ => {
+                    let (src_start, src_len) = regions[(val % 4) as usize];
+                    let n = (val >> 8) % 9000 % len.min(src_len) + 1;
+                    let dst = place(start, len - n + 1, 1, seed);
+                    let src = place(src_start, src_len - n + 1, 1, val >> 20);
+                    m.copy(Addr::new(dst), Addr::new(src), n);
+                    model.copy(dst, src, n);
+                }
+            }
+            prop_assert_eq!(m.resident_bytes(), model.resident_bytes());
+        }
+        for (&frame, bytes) in &model.frames {
+            for (i, &b) in bytes.iter().enumerate() {
+                prop_assert_eq!(m.read_u8(Addr::new(frame * 4096 + i as u64)), b);
+            }
         }
     }
 }
