@@ -12,7 +12,7 @@
 //!   buffers vs a fresh `Vec` per transaction (ns/tx);
 //! * **timestamps** — the dequeue-side clock discipline: one
 //!   `Instant::now()` per drained batch vs one per transaction (ns/tx);
-//! * **serving** — a mini end-to-end run per ingress queue mode, checking
+//! * **serving** — a mini end-to-end run through the server, checking
 //!   the accounting identity `submitted == completed + shed` and that the
 //!   buffer pool actually recycles at steady state.
 //!
@@ -42,7 +42,7 @@ struct HotpathReport {
     object_table: TableSection,
     tx_buffers: BufferSection,
     timestamps: TimestampSection,
-    serving: Vec<ServingSection>,
+    serving: ServingSection,
 }
 
 /// Dense table vs `HashMap` on identical op sequences.
@@ -80,10 +80,9 @@ struct TimestampSection {
     speedup: f64,
 }
 
-/// One mini serving run (one ingress queue mode).
+/// One mini serving run.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
 struct ServingSection {
-    queue: String,
     submitted: u64,
     completed: u64,
     shed: u64,
@@ -349,40 +348,32 @@ fn bench_timestamps(tx: u64, batch: u64) -> TimestampSection {
     }
 }
 
-fn bench_serving(tx: u64, batch: usize, seed: u64) -> Vec<ServingSection> {
-    use webmm_server::QueueMode;
-    [QueueMode::Global, QueueMode::Sharded]
-        .into_iter()
-        .map(|queue_mode| {
-            let server = Server::start(ServerConfig {
-                workers: 2,
-                queue_capacity: 128,
-                queue_mode,
-                batch,
-                static_bytes: 1 << 20,
-                ..ServerConfig::default()
-            });
-            drive_closed(&server, TxFactory::new(phpbb(), 1024, seed), tx, 4);
-            let report = server.finish();
-            let identity = report.submitted == report.completed + report.shed;
-            assert!(
-                identity,
-                "accounting identity broken in {} mode: {} != {} + {}",
-                report.queue_mode, report.submitted, report.completed, report.shed
-            );
-            ServingSection {
-                queue: report.queue_mode.clone(),
-                submitted: report.submitted,
-                completed: report.completed,
-                shed: report.shed,
-                identity_holds: identity,
-                tx_per_sec: report.tx_per_sec,
-                pool_recycled: report.pool.recycled,
-                pool_fresh: report.pool.fresh,
-                pool_returned: report.pool.returned,
-            }
-        })
-        .collect()
+fn bench_serving(tx: u64, batch: usize, seed: u64) -> ServingSection {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        queue_capacity: 128,
+        batch,
+        static_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    drive_closed(&server, TxFactory::new(phpbb(), 1024, seed), tx, 4);
+    let report = server.finish();
+    let identity = report.submitted == report.completed + report.shed;
+    assert!(
+        identity,
+        "accounting identity broken: {} != {} + {}",
+        report.submitted, report.completed, report.shed
+    );
+    ServingSection {
+        submitted: report.submitted,
+        completed: report.completed,
+        shed: report.shed,
+        identity_holds: identity,
+        tx_per_sec: report.tx_per_sec,
+        pool_recycled: report.pool.recycled,
+        pool_fresh: report.pool.fresh,
+        pool_returned: report.pool.returned,
+    }
 }
 
 fn main() {
@@ -430,13 +421,12 @@ fn main() {
     ]);
     print!("{}", table(&rows));
 
-    for s in &serving {
-        println!(
-            "serving[{}]: {} submitted = {} completed + {} shed; \
-             {:.1} tx/s; pool {} recycled / {} fresh",
-            s.queue, s.submitted, s.completed, s.shed, s.tx_per_sec, s.pool_recycled, s.pool_fresh
-        );
-    }
+    let s = &serving;
+    println!(
+        "serving: {} submitted = {} completed + {} shed; \
+         {:.1} tx/s; pool {} recycled / {} fresh",
+        s.submitted, s.completed, s.shed, s.tx_per_sec, s.pool_recycled, s.pool_fresh
+    );
 
     let report = HotpathReport {
         tx: args.tx,

@@ -1,14 +1,12 @@
 //! Native shootout: the paper's allocators on real threads.
 //!
-//! Sweeps worker count × allocator family × ingress queue mode through
-//! the `webmm-server` native serving harness — actual OS threads, one
-//! heap per worker, a bounded ingress queue — and reports wall-clock
-//! throughput and admission-to-completion latency quantiles. The
-//! companion to the simulated Figure 5 sweep: where `fig5` predicts
-//! scaling from the bus model, this measures the allocators' real
-//! single-thread costs and scheduling behaviour on the host. Running
-//! both queue modes on identical workloads is how the sharded
-//! work-stealing ingress is A/B'd against the single global lock.
+//! Sweeps worker count × allocator family through the `webmm-server`
+//! native serving harness — actual OS threads, one heap per worker, a
+//! bounded sharded ingress queue — and reports wall-clock throughput and
+//! admission-to-completion latency quantiles. The companion to the
+//! simulated Figure 5 sweep: where `fig5` predicts scaling from the bus
+//! model, this measures the allocators' real single-thread costs and
+//! scheduling behaviour on the host.
 //!
 //! Usage:
 //!
@@ -16,7 +14,7 @@
 //! cargo run --release -p webmm-bench --bin native_shootout -- \
 //!     --workers 1,2,4 --tx 10000 [--scale 1024] [--seed 42] \
 //!     [--policy block|reject|shed-oldest] [--capacity 128] \
-//!     [--queue global|sharded|both] [--batch 32] \
+//!     [--batch 32] \
 //!     [--out BENCH_native.json] \
 //!     [--obs-interval 10ms] [--obs-out OBS_native.jsonl] \
 //!     [--trace-in TRACE.jsonl]
@@ -28,20 +26,20 @@
 //! offline half of a network-vs-in-process A/B on identical operations.
 //!
 //! Writes every cell of the sweep to `BENCH_native.json` (allocator,
-//! workers, queue mode, tx_per_sec, steal counters, the host's available
+//! workers, tx_per_sec, steal counters, the host's available
 //! parallelism, latency summary). With `--obs-interval`, every cell runs
 //! with live telemetry attached: a sampler snapshots queue depth,
 //! sliding-window latency quantiles and per-worker heap occupancy at
 //! that interval, the last sample of each cell is rendered as a
 //! dashboard, and `--obs-out` collects the full time series of all cells
 //! into one JSONL file (the `run` field names the cell, e.g.
-//! `ddmalloc-sharded-w4`).
+//! `ddmalloc-w4`).
 
 use std::time::Duration;
 use webmm_alloc::AllocatorKind;
 use webmm_profiler::report::{heading, table};
 use webmm_server::{
-    drive_closed, render_dashboard, AdmissionPolicy, LatencySummary, ObsConfig, QueueMode, Server,
+    drive_closed, render_dashboard, AdmissionPolicy, LatencySummary, ObsConfig, Server,
     ServerConfig, TxFactory,
 };
 use webmm_workload::phpbb;
@@ -53,14 +51,12 @@ use webmm_workload::phpbb;
 struct NativeBenchEntry {
     allocator: String,
     workers: u64,
-    /// Ingress implementation this cell ran on (`global` or `sharded`).
-    queue: String,
     tx_per_sec: f64,
     latency: LatencySummary,
     completed: u64,
     shed: u64,
     /// Transactions served by a worker other than the one whose shard
-    /// admitted them (0 in global mode).
+    /// admitted them.
     steals: u64,
     /// `steals / completed` — how much of the throughput came through
     /// the stealing path.
@@ -78,7 +74,6 @@ struct Args {
     seed: u64,
     policy: AdmissionPolicy,
     capacity: usize,
-    queues: Vec<QueueMode>,
     batch: usize,
     out: String,
     obs_interval: Option<Duration>,
@@ -119,7 +114,6 @@ fn parse_args() -> Args {
         seed: 42,
         policy: AdmissionPolicy::Block,
         capacity: 128,
-        queues: vec![QueueMode::Global, QueueMode::Sharded],
         batch: 32,
         out: "BENCH_native.json".to_string(),
         obs_interval: None,
@@ -154,16 +148,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
             }
-            "--queue" => {
-                let v = value();
-                args.queues = match v.as_str() {
-                    "both" => vec![QueueMode::Global, QueueMode::Sharded],
-                    _ => vec![QueueMode::from_id(&v).unwrap_or_else(|| {
-                        eprintln!("unknown queue mode `{v}` (global|sharded|both)");
-                        std::process::exit(2);
-                    })],
-                };
-            }
             "--out" => args.out = value(),
             "--obs-interval" => {
                 let v = value();
@@ -179,7 +163,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: native_shootout [--workers N,N,..] [--tx N] [--scale N] [--seed N] \
                      [--policy block|reject|shed-oldest] [--capacity N] \
-                     [--queue global|sharded|both] [--batch N] [--out FILE] \
+                     [--batch N] [--out FILE] \
                      [--obs-interval DUR] [--obs-out FILE] [--trace-in FILE]"
                 );
                 std::process::exit(2);
@@ -228,7 +212,6 @@ fn main() {
 
     let mut rows = vec![vec![
         "allocator".to_string(),
-        "queue".to_string(),
         "workers".to_string(),
         "tx/s".to_string(),
         "p50 us".to_string(),
@@ -240,71 +223,65 @@ fn main() {
     let mut entries = Vec::new();
     let mut obs_lines: Vec<String> = Vec::new();
     for kind in AllocatorKind::PHP_STUDY {
-        for &queue_mode in &args.queues {
-            for &workers in &args.workers {
-                let obs = args.obs_interval.map(|interval| ObsConfig {
-                    interval,
-                    run: format!("{}-{}-w{workers}", kind.id(), queue_mode.id()),
-                    ..ObsConfig::default()
-                });
-                let server = Server::start(ServerConfig {
-                    kind,
-                    workers,
-                    queue_capacity: args.capacity,
-                    policy: args.policy,
-                    queue_mode,
-                    batch: args.batch,
-                    static_bytes: 2 << 20,
-                    obs,
-                });
-                let factory = match &trace_ops {
-                    Some(ops) => TxFactory::from_trace(ops.clone()),
-                    None => TxFactory::new(phpbb(), args.scale, args.seed),
-                };
-                let clients = (workers * 2).max(2);
-                drive_closed(&server, factory, tx, clients);
-                let (report, samples) = server.finish_with_obs();
-                assert_eq!(
-                    report.completed + report.shed,
-                    report.submitted,
-                    "accounting identity broken for {kind} ({}) @ {workers} workers",
-                    queue_mode.id(),
-                );
-                if let Some(last) = samples.last() {
-                    print!("{}", render_dashboard(last));
-                }
-                for sample in &samples {
-                    obs_lines.push(serde_json::to_string(sample).expect("sample serializes"));
-                }
-                let steal_rate = if report.completed > 0 {
-                    report.steals as f64 / report.completed as f64
-                } else {
-                    0.0
-                };
-                rows.push(vec![
-                    report.allocator.clone(),
-                    report.queue_mode.clone(),
-                    format!("{workers}"),
-                    format!("{:10.1}", report.tx_per_sec),
-                    format!("{:8.1}", report.latency.p50_ns as f64 / 1e3),
-                    format!("{:8.1}", report.latency.p95_ns as f64 / 1e3),
-                    format!("{:8.1}", report.latency.p99_ns as f64 / 1e3),
-                    format!("{}", report.shed),
-                    format!("{:5.1}", steal_rate * 100.0),
-                ]);
-                entries.push(NativeBenchEntry {
-                    allocator: report.allocator.clone(),
-                    workers: report.workers,
-                    queue: report.queue_mode.clone(),
-                    tx_per_sec: report.tx_per_sec,
-                    latency: report.latency,
-                    completed: report.completed,
-                    shed: report.shed,
-                    steals: report.steals,
-                    steal_rate,
-                    parallelism,
-                });
+        for &workers in &args.workers {
+            let obs = args.obs_interval.map(|interval| ObsConfig {
+                interval,
+                run: format!("{}-w{workers}", kind.id()),
+                ..ObsConfig::default()
+            });
+            let server = Server::start(ServerConfig {
+                kind,
+                workers,
+                queue_capacity: args.capacity,
+                policy: args.policy,
+                batch: args.batch,
+                static_bytes: 2 << 20,
+                obs,
+            });
+            let factory = match &trace_ops {
+                Some(ops) => TxFactory::from_trace(ops.clone()),
+                None => TxFactory::new(phpbb(), args.scale, args.seed),
+            };
+            let clients = (workers * 2).max(2);
+            drive_closed(&server, factory, tx, clients);
+            let (report, samples) = server.finish_with_obs();
+            assert_eq!(
+                report.completed + report.shed,
+                report.submitted,
+                "accounting identity broken for {kind} @ {workers} workers",
+            );
+            if let Some(last) = samples.last() {
+                print!("{}", render_dashboard(last));
             }
+            for sample in &samples {
+                obs_lines.push(serde_json::to_string(sample).expect("sample serializes"));
+            }
+            let steal_rate = if report.completed > 0 {
+                report.steals as f64 / report.completed as f64
+            } else {
+                0.0
+            };
+            rows.push(vec![
+                report.allocator.clone(),
+                format!("{workers}"),
+                format!("{:10.1}", report.tx_per_sec),
+                format!("{:8.1}", report.latency.p50_ns as f64 / 1e3),
+                format!("{:8.1}", report.latency.p95_ns as f64 / 1e3),
+                format!("{:8.1}", report.latency.p99_ns as f64 / 1e3),
+                format!("{}", report.shed),
+                format!("{:5.1}", steal_rate * 100.0),
+            ]);
+            entries.push(NativeBenchEntry {
+                allocator: report.allocator.clone(),
+                workers: report.workers,
+                tx_per_sec: report.tx_per_sec,
+                latency: report.latency,
+                completed: report.completed,
+                shed: report.shed,
+                steals: report.steals,
+                steal_rate,
+                parallelism,
+            });
         }
     }
     print!("{}", table(&rows));

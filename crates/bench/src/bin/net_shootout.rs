@@ -1,6 +1,6 @@
 //! Network shootout: the paper's allocators behind a real TCP tier.
 //!
-//! The same allocator × queue-mode sweep as `native_shootout`, but with
+//! The same allocator sweep as `native_shootout`, but with
 //! an actual network in the loop: a `webmm-net` TCP front-end serves
 //! each cell over loopback while the `webmm-net` client drives it from
 //! persistent connections, shipping real phpBB op streams through the
@@ -15,7 +15,7 @@
 //! cargo run --release -p webmm-bench --bin net_shootout -- \
 //!     [--workers 4] [--conns 4] [--tx 5000] [--scale 1024] [--seed 42] \
 //!     [--policy block|reject|shed-oldest] [--capacity 128] \
-//!     [--queue global|sharded|both] [--rate TX_PER_SEC] \
+//!     [--rate TX_PER_SEC] \
 //!     [--out BENCH_net.json] [--trace-out TRACE.jsonl]
 //! ```
 //!
@@ -36,15 +36,13 @@ use webmm_net::{
     run_client, ClientWorkload, LoadMode, NetClientConfig, NetServer, NetServerConfig,
 };
 use webmm_profiler::report::{heading, table};
-use webmm_server::{AdmissionPolicy, LatencySummary, QueueMode, Server, ServerConfig};
+use webmm_server::{AdmissionPolicy, LatencySummary, Server, ServerConfig};
 use webmm_workload::{phpbb, trace::write_trace, TxStream};
 
 /// One cell of the sweep, as serialized into `BENCH_net.json`.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
 struct NetBenchEntry {
     allocator: String,
-    /// Ingress implementation behind the TCP tier.
-    queue: String,
     workers: u64,
     /// Client connections (= server handler threads).
     connections: u64,
@@ -71,7 +69,6 @@ struct Args {
     seed: u64,
     policy: AdmissionPolicy,
     capacity: usize,
-    queues: Vec<QueueMode>,
     rate: Option<f64>,
     out: String,
     trace_out: Option<String>,
@@ -86,7 +83,6 @@ fn parse_args() -> Args {
         seed: 42,
         policy: AdmissionPolicy::Block,
         capacity: 128,
-        queues: vec![QueueMode::Global, QueueMode::Sharded],
         rate: None,
         out: "BENCH_net.json".to_string(),
         trace_out: None,
@@ -114,16 +110,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
             }
-            "--queue" => {
-                let v = value();
-                args.queues = match v.as_str() {
-                    "both" => vec![QueueMode::Global, QueueMode::Sharded],
-                    _ => vec![QueueMode::from_id(&v).unwrap_or_else(|| {
-                        eprintln!("unknown queue mode `{v}` (global|sharded|both)");
-                        std::process::exit(2);
-                    })],
-                };
-            }
             "--out" => args.out = value(),
             "--trace-out" => args.trace_out = Some(value()),
             other => {
@@ -131,8 +117,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: net_shootout [--workers N] [--conns N] [--tx N] [--scale N] \
                      [--seed N] [--policy block|reject|shed-oldest] [--capacity N] \
-                     [--queue global|sharded|both] [--rate TX_PER_SEC] [--out FILE] \
-                     [--trace-out FILE]"
+                     [--rate TX_PER_SEC] [--out FILE] [--trace-out FILE]"
                 );
                 std::process::exit(2);
             }
@@ -183,7 +168,6 @@ fn main() {
 
     let mut rows = vec![vec![
         "allocator".to_string(),
-        "queue".to_string(),
         "tx/s".to_string(),
         "client p50 us".to_string(),
         "client p99 us".to_string(),
@@ -193,90 +177,82 @@ fn main() {
     ]];
     let mut entries = Vec::new();
     for kind in AllocatorKind::PHP_STUDY {
-        for &queue_mode in &args.queues {
-            let server = Server::start(ServerConfig {
-                kind,
-                workers: args.workers,
-                queue_capacity: args.capacity,
-                policy: args.policy,
-                queue_mode,
-                static_bytes: 2 << 20,
-                ..ServerConfig::default()
-            });
-            let tier = NetServer::bind(
-                server,
-                "127.0.0.1:0",
-                NetServerConfig {
-                    // One handler per persistent client connection, or
-                    // whole connections would park in the backlog.
-                    handlers: args.conns,
-                    ..NetServerConfig::default()
+        let server = Server::start(ServerConfig {
+            kind,
+            workers: args.workers,
+            queue_capacity: args.capacity,
+            policy: args.policy,
+            static_bytes: 2 << 20,
+            ..ServerConfig::default()
+        });
+        let tier = NetServer::bind(
+            server,
+            "127.0.0.1:0",
+            NetServerConfig {
+                // One handler per persistent client connection, or
+                // whole connections would park in the backlog.
+                handlers: args.conns,
+                ..NetServerConfig::default()
+            },
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("cannot bind loopback: {e}");
+            std::process::exit(1);
+        });
+        let started = Instant::now();
+        let client = run_client(
+            tier.local_addr(),
+            &ClientWorkload::Stream {
+                spec: phpbb(),
+                scale: args.scale,
+                seed: args.seed,
+            },
+            &NetClientConfig {
+                connections: args.conns,
+                requests: args.tx,
+                mode: match args.rate {
+                    Some(rate_tx_per_sec) => LoadMode::Open { rate_tx_per_sec },
+                    None => LoadMode::Closed,
                 },
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot bind loopback: {e}");
-                std::process::exit(1);
-            });
-            let started = Instant::now();
-            let client = run_client(
-                tier.local_addr(),
-                &ClientWorkload::Stream {
-                    spec: phpbb(),
-                    scale: args.scale,
-                    seed: args.seed,
-                },
-                &NetClientConfig {
-                    connections: args.conns,
-                    requests: args.tx,
-                    mode: match args.rate {
-                        Some(rate_tx_per_sec) => LoadMode::Open { rate_tx_per_sec },
-                        None => LoadMode::Closed,
-                    },
-                    affinity: true,
-                    ..NetClientConfig::default()
-                },
-            );
-            let elapsed = started.elapsed();
-            let report = tier.finish();
-            assert!(
-                report.reconciles(),
-                "accounting identity broken for {kind} ({}): {report:?}",
-                queue_mode.id(),
-            );
-            assert_eq!(
-                client.responses,
-                args.tx,
-                "loopback cell must answer every request ({kind}, {})",
-                queue_mode.id(),
-            );
-            let tx_per_sec = client.responses as f64 / elapsed.as_secs_f64();
-            let moved = (report.net.bytes_in + report.net.bytes_out) as f64 / (1 << 20) as f64;
-            rows.push(vec![
-                report.server.allocator.clone(),
-                report.server.queue_mode.clone(),
-                format!("{tx_per_sec:10.1}"),
-                format!("{:8.1}", client.latency.p50_ns as f64 / 1e3),
-                format!("{:8.1}", client.latency.p99_ns as f64 / 1e3),
-                format!("{:8.1}", report.server.latency.p99_ns as f64 / 1e3),
-                format!("{}", report.server.shed),
-                format!("{moved:7.1}"),
-            ]);
-            entries.push(NetBenchEntry {
-                allocator: report.server.allocator.clone(),
-                queue: report.server.queue_mode.clone(),
-                workers: report.server.workers,
-                connections: args.conns as u64,
-                tx_per_sec,
-                latency: client.latency,
-                server_latency: report.server.latency,
-                accepted: client.accepted,
-                shed: report.server.shed,
-                rejected: client.rejected,
-                bytes_in: report.net.bytes_in,
-                bytes_out: report.net.bytes_out,
-                parallelism,
-            });
-        }
+                affinity: true,
+                ..NetClientConfig::default()
+            },
+        );
+        let elapsed = started.elapsed();
+        let report = tier.finish();
+        assert!(
+            report.reconciles(),
+            "accounting identity broken for {kind}: {report:?}"
+        );
+        assert_eq!(
+            client.responses, args.tx,
+            "loopback cell must answer every request ({kind})"
+        );
+        let tx_per_sec = client.responses as f64 / elapsed.as_secs_f64();
+        let moved = (report.net.bytes_in + report.net.bytes_out) as f64 / (1 << 20) as f64;
+        rows.push(vec![
+            report.server.allocator.clone(),
+            format!("{tx_per_sec:10.1}"),
+            format!("{:8.1}", client.latency.p50_ns as f64 / 1e3),
+            format!("{:8.1}", client.latency.p99_ns as f64 / 1e3),
+            format!("{:8.1}", report.server.latency.p99_ns as f64 / 1e3),
+            format!("{}", report.server.shed),
+            format!("{moved:7.1}"),
+        ]);
+        entries.push(NetBenchEntry {
+            allocator: report.server.allocator.clone(),
+            workers: report.server.workers,
+            connections: args.conns as u64,
+            tx_per_sec,
+            latency: client.latency,
+            server_latency: report.server.latency,
+            accepted: client.accepted,
+            shed: report.server.shed,
+            rejected: client.rejected,
+            bytes_in: report.net.bytes_in,
+            bytes_out: report.net.bytes_out,
+            parallelism,
+        });
     }
     print!("{}", table(&rows));
 

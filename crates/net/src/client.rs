@@ -97,8 +97,8 @@ pub struct NetClientConfig {
     /// Consecutive failed connects before a connection thread gives up.
     pub max_attempts: u32,
     /// Tag each request with an affinity key (the connection index), so
-    /// a sharded ingress queue keeps each connection's transactions on
-    /// one shard — session affinity over the wire.
+    /// the server's sharded ingress keeps each connection's transactions
+    /// on one shard — session affinity over the wire.
     pub affinity: bool,
     /// Decoder frame cap for responses.
     pub max_frame: usize,

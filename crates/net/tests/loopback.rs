@@ -6,7 +6,7 @@
 //! independently: what the client observed, what the network tier
 //! answered, and what the ingress queue admitted. The core identity —
 //! `submitted == completed + shed` — must survive the network boundary
-//! exactly, for every admission policy and both queue modes:
+//! exactly, for every admission policy:
 //!
 //! * every response status the tier issued matches a queue admission
 //!   outcome one-for-one ([`NetReport::reconciles`]);
@@ -18,15 +18,14 @@ use std::time::Duration;
 use webmm_net::{
     run_client, ClientWorkload, LoadMode, NetClientConfig, NetReport, NetServer, NetServerConfig,
 };
-use webmm_server::{AdmissionPolicy, ObsConfig, QueueMode, Server, ServerConfig};
+use webmm_server::{AdmissionPolicy, ObsConfig, Server, ServerConfig};
 use webmm_workload::phpbb;
 
-fn start_tier(policy: AdmissionPolicy, queue_mode: QueueMode, capacity: usize) -> NetServer {
+fn start_tier(policy: AdmissionPolicy, capacity: usize) -> NetServer {
     let server = Server::start(ServerConfig {
         workers: 2,
         queue_capacity: capacity,
         policy,
-        queue_mode,
         batch: 4,
         static_bytes: 1 << 16,
         ..ServerConfig::default()
@@ -74,30 +73,28 @@ fn assert_clean_run(client: &webmm_net::ClientReport, tier: &NetReport, requests
 
 #[test]
 fn closed_loop_reconciles_under_block_policy() {
-    for queue_mode in [QueueMode::Global, QueueMode::Sharded] {
-        let tier = start_tier(AdmissionPolicy::Block, queue_mode, 8);
-        let requests = 60;
-        let client = run_client(
-            tier.local_addr(),
-            &ClientWorkload::Count { ops: 16, size: 128 },
-            &NetClientConfig {
-                connections: 2,
-                requests,
-                ..NetClientConfig::default()
-            },
-        );
-        let report = tier.finish();
-        assert_clean_run(&client, &report, requests);
-        // Block never refuses: everything is accepted and completed.
-        assert_eq!(client.accepted, requests, "{queue_mode:?}");
-        assert_eq!(report.server.completed, requests);
-        assert!(client.latency.count >= requests);
-    }
+    let tier = start_tier(AdmissionPolicy::Block, 8);
+    let requests = 60;
+    let client = run_client(
+        tier.local_addr(),
+        &ClientWorkload::Count { ops: 16, size: 128 },
+        &NetClientConfig {
+            connections: 2,
+            requests,
+            ..NetClientConfig::default()
+        },
+    );
+    let report = tier.finish();
+    assert_clean_run(&client, &report, requests);
+    // Block never refuses: everything is accepted and completed.
+    assert_eq!(client.accepted, requests);
+    assert_eq!(report.server.completed, requests);
+    assert!(client.latency.count >= requests);
 }
 
 #[test]
 fn stream_workload_reconciles_and_executes_real_ops() {
-    let tier = start_tier(AdmissionPolicy::Block, QueueMode::Sharded, 16);
+    let tier = start_tier(AdmissionPolicy::Block, 16);
     let requests = 24;
     let client = run_client(
         tier.local_addr(),
@@ -131,31 +128,29 @@ fn stream_workload_reconciles_and_executes_real_ops() {
 #[test]
 fn open_loop_overload_reconciles_under_reject_and_shed() {
     for policy in [AdmissionPolicy::Reject, AdmissionPolicy::ShedOldest] {
-        for queue_mode in [QueueMode::Global, QueueMode::Sharded] {
-            let tier = start_tier(policy, queue_mode, 4);
-            let requests = 200;
-            let client = run_client(
-                tier.local_addr(),
-                &ClientWorkload::Count {
-                    ops: 64,
-                    size: 4096,
+        let tier = start_tier(policy, 4);
+        let requests = 200;
+        let client = run_client(
+            tier.local_addr(),
+            &ClientWorkload::Count {
+                ops: 64,
+                size: 4096,
+            },
+            &NetClientConfig {
+                connections: 2,
+                requests,
+                mode: LoadMode::Open {
+                    rate_tx_per_sec: 50_000.0,
                 },
-                &NetClientConfig {
-                    connections: 2,
-                    requests,
-                    mode: LoadMode::Open {
-                        rate_tx_per_sec: 50_000.0,
-                    },
-                    ..NetClientConfig::default()
-                },
-            );
-            let report = tier.finish();
-            assert_clean_run(&client, &report, requests);
-            match policy {
-                AdmissionPolicy::Reject => assert_eq!(client.shed_accepted, 0),
-                AdmissionPolicy::ShedOldest => assert_eq!(client.rejected, 0),
-                AdmissionPolicy::Block => unreachable!(),
-            }
+                ..NetClientConfig::default()
+            },
+        );
+        let report = tier.finish();
+        assert_clean_run(&client, &report, requests);
+        match policy {
+            AdmissionPolicy::Reject => assert_eq!(client.shed_accepted, 0),
+            AdmissionPolicy::ShedOldest => assert_eq!(client.rejected, 0),
+            AdmissionPolicy::Block => unreachable!(),
         }
     }
 }

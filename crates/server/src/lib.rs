@@ -10,13 +10,12 @@
 //!
 //! The pieces:
 //!
-//! * [`TxQueue`] / [`AdmissionPolicy`] — bounded MPMC ingress with
-//!   block / reject / shed-oldest backpressure, every outcome counted;
-//! * [`ShardedTxQueue`] / [`QueueMode`] — the scalable ingress: one
+//! * [`ShardedTxQueue`] / [`AdmissionPolicy`] — the bounded ingress: one
 //!   shard per worker, batched drain (up to `batch` transactions per
 //!   lock acquisition), and steal-half work stealing when a worker's
-//!   own shard runs dry; admission policies apply per shard, and the
-//!   accounting identity holds across steals;
+//!   own shard runs dry; block / reject / shed-oldest backpressure
+//!   applies per shard, every outcome is counted, and the accounting
+//!   identity holds across steals;
 //! * worker threads — one [`PlainPort`](webmm_sim::PlainPort) address
 //!   space and one heap each, replaying the workload's
 //!   malloc/free/freeAll schedule; `freeAll` (or a survivor sweep for
@@ -59,7 +58,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod ingress;
 mod loadgen;
 mod pool;
 mod queue;
@@ -70,7 +68,7 @@ mod worker;
 
 pub use loadgen::{drive_closed, drive_open, TxFactory};
 pub use pool::{PoolStats, TxBufferPool};
-pub use queue::{Admission, AdmissionPolicy, QueueCounters, QueueMode, QueueSnapshot, TxQueue};
+pub use queue::{Admission, AdmissionPolicy, QueueCounters, QueueSnapshot};
 pub use server::{Ingress, Server, ServerConfig, ServerReport};
 pub use shard::ShardedTxQueue;
 pub use telemetry::{render_dashboard, ObsConfig, ObsSample, ServerTelemetry, WorkerHeapSample};

@@ -1,12 +1,13 @@
-//! Bounded MPMC ingress queue with configurable admission control.
+//! Admission control shared by the ingress: policies, outcomes, counters.
 //!
 //! The paper's serving story is a web server fanning transactions out to a
 //! pool of PHP workers; the piece the simulator never modelled is what
-//! happens at the front door when offered load exceeds capacity. This
-//! queue makes that explicit: a fixed-capacity buffer plus an
-//! [`AdmissionPolicy`] deciding whether an arriving transaction waits
-//! (closed-loop clients), bounces (fail-fast), or displaces the oldest
-//! queued transaction (freshness under overload).
+//! happens at the front door when offered load exceeds capacity. The
+//! ingress ([`ShardedTxQueue`](crate::ShardedTxQueue)) makes that
+//! explicit: a fixed-capacity buffer per shard plus an [`AdmissionPolicy`]
+//! deciding whether an arriving transaction waits (closed-loop clients),
+//! bounces (fail-fast), or displaces the oldest queued transaction
+//! (freshness under overload).
 //!
 //! Every admission outcome is counted, so the server can prove the
 //! accounting identity `submitted == completed + shed` after drain.
@@ -14,43 +15,9 @@
 use crate::pool::TxBufferPool;
 use crate::telemetry::ServerTelemetry;
 use crate::Transaction;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use webmm_obs::{ShardSample, TxSpan};
-
-/// Which ingress implementation a server runs behind.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum QueueMode {
-    /// One shared [`TxQueue`]: every submitter and every worker contends
-    /// on the same lock. The baseline the paper's bus-contention argument
-    /// predicts will stop scaling.
-    Global,
-    /// One shard per worker with batched drain and work stealing (see
-    /// [`ShardedTxQueue`](crate::ShardedTxQueue)): submissions spread
-    /// round-robin (or by affinity key) over per-worker queues, workers
-    /// drain their own shard in batches under one lock acquisition and
-    /// steal half a victim's backlog when theirs runs dry.
-    #[default]
-    Sharded,
-}
-
-impl QueueMode {
-    /// Stable identifier for CLI arguments and JSON output.
-    pub fn id(self) -> &'static str {
-        match self {
-            QueueMode::Global => "global",
-            QueueMode::Sharded => "sharded",
-        }
-    }
-
-    /// Parses an id produced by [`QueueMode::id`].
-    pub fn from_id(id: &str) -> Option<Self> {
-        [QueueMode::Global, QueueMode::Sharded]
-            .into_iter()
-            .find(|m| m.id() == id)
-    }
-}
 
 /// What the queue does when a transaction arrives and the buffer is full.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -87,13 +54,14 @@ impl AdmissionPolicy {
     }
 }
 
-/// Outcome of one [`TxQueue::submit`] call.
+/// Outcome of one [`ShardedTxQueue::submit`](crate::ShardedTxQueue::submit) call.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Admission {
     /// The transaction was enqueued (possibly after blocking).
     Accepted,
     /// The transaction was turned away ([`AdmissionPolicy::Reject`], or
-    /// any submission after [`TxQueue::close`]).
+    /// any submission after
+    /// [`ShardedTxQueue::close`](crate::ShardedTxQueue::close)).
     Rejected,
     /// The transaction was enqueued and the oldest queued transaction was
     /// dropped to make room ([`AdmissionPolicy::ShedOldest`]).
@@ -115,28 +83,28 @@ pub struct QueueCounters {
     /// Transactions dropped by admission control (rejections plus
     /// shed-oldest victims).
     pub shed: u64,
-    /// Deepest the queue has been. For sharded queues this is the deepest
-    /// any single shard has been (depths at different shards peak at
-    /// different instants, so summing them would overstate backlog).
+    /// Deepest any single shard has been (depths at different shards
+    /// peak at different instants, so summing them would overstate
+    /// backlog).
     pub max_depth: u64,
 }
 
-/// A coherent point-in-time view of a queue: depth and counters read
-/// under one lock acquisition per shard, instead of callers taking the
-/// lock once for [`TxQueue::depth`] and again for [`TxQueue::counters`].
+/// A coherent point-in-time view of the ingress: depth and counters read
+/// under one lock acquisition per shard, instead of callers taking every
+/// lock once for [`ShardedTxQueue::depth`](crate::ShardedTxQueue::depth)
+/// and again for [`ShardedTxQueue::counters`](crate::ShardedTxQueue::counters).
 #[derive(Clone, Debug, Default)]
 pub struct QueueSnapshot {
     /// Transactions queued across all shards at snapshot time.
     pub depth: u64,
     /// Admission counters summed across shards.
     pub counters: QueueCounters,
-    /// Per-shard breakdown; empty for the global queue.
+    /// Per-shard breakdown.
     pub shards: Vec<ShardSample>,
 }
 
 /// Records a shed span for transaction `tx_id` into `telemetry`'s shed
-/// lane (shared between the global and sharded queues — sheds happen on
-/// submitter threads, not worker threads). `queued_for` is how long a
+/// lane (sheds happen on submitter threads, not worker threads). `queued_for` is how long a
 /// shed-oldest victim sat in the queue (`None` for rejections at the
 /// front door).
 pub(crate) fn trace_shed(
@@ -162,296 +130,5 @@ pub(crate) fn trace_shed(
 pub(crate) fn recycle(pool: &Option<Arc<TxBufferPool>>, tx: Transaction) {
     if let Some(p) = pool {
         p.put(tx.ops);
-    }
-}
-
-struct QueueState {
-    buf: VecDeque<QueuedTx>,
-    closed: bool,
-    counters: QueueCounters,
-}
-
-/// Bounded multi-producer multi-consumer transaction queue.
-pub struct TxQueue {
-    state: Mutex<QueueState>,
-    /// Signalled when a transaction is enqueued or the queue closes.
-    not_empty: Condvar,
-    /// Signalled when a transaction is dequeued (Block-policy waiters).
-    not_full: Condvar,
-    capacity: usize,
-    policy: AdmissionPolicy,
-    /// When present, shed transactions leave spans in the tracer's shed
-    /// lane (sheds happen on submitter threads, not worker threads).
-    telemetry: Option<Arc<ServerTelemetry>>,
-    /// When present, rejected and shed transactions return their op
-    /// buffers here instead of dropping them.
-    pool: Option<Arc<TxBufferPool>>,
-}
-
-impl TxQueue {
-    /// Creates a queue holding at most `capacity` transactions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, policy: AdmissionPolicy) -> Self {
-        assert!(capacity > 0, "queue capacity must be nonzero");
-        TxQueue {
-            state: Mutex::new(QueueState {
-                buf: VecDeque::with_capacity(capacity),
-                closed: false,
-                counters: QueueCounters::default(),
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            policy,
-            telemetry: None,
-            pool: None,
-        }
-    }
-
-    /// Routes shed spans into `telemetry`'s tracer. Called by the server
-    /// before the queue is shared.
-    pub(crate) fn install_telemetry(&mut self, telemetry: Arc<ServerTelemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Routes dead transactions' op buffers into `pool`. Called by the
-    /// server before the queue is shared.
-    pub(crate) fn install_pool(&mut self, pool: Arc<TxBufferPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Records a shed span for transaction `tx_id`. `queued_for` is how
-    /// long a shed-oldest victim sat in the queue (zero for rejections at
-    /// the front door).
-    fn trace_shed(&self, tx_id: u64, queued_for: Option<std::time::Duration>) {
-        trace_shed(&self.telemetry, tx_id, queued_for);
-    }
-
-    /// The configured admission policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Offers a transaction to the queue; the admission outcome depends on
-    /// the policy. Every call increments `submitted`, and every outcome
-    /// other than enqueueing increments `shed`, so
-    /// `submitted == completed + shed` holds after a drain.
-    pub fn submit(&self, tx: Transaction) -> Admission {
-        let mut st = self.state.lock().expect("queue lock");
-        st.counters.submitted += 1;
-        if st.closed {
-            st.counters.shed += 1;
-            drop(st);
-            self.trace_shed(tx.id, None);
-            recycle(&self.pool, tx);
-            return Admission::Rejected;
-        }
-        if st.buf.len() >= self.capacity {
-            match self.policy {
-                AdmissionPolicy::Block => {
-                    while st.buf.len() >= self.capacity && !st.closed {
-                        st = self.not_full.wait(st).expect("queue lock");
-                    }
-                    if st.closed {
-                        st.counters.shed += 1;
-                        drop(st);
-                        self.trace_shed(tx.id, None);
-                        recycle(&self.pool, tx);
-                        return Admission::Rejected;
-                    }
-                }
-                AdmissionPolicy::Reject => {
-                    st.counters.shed += 1;
-                    drop(st);
-                    self.trace_shed(tx.id, None);
-                    recycle(&self.pool, tx);
-                    return Admission::Rejected;
-                }
-                AdmissionPolicy::ShedOldest => {
-                    let victim = st.buf.pop_front();
-                    st.counters.shed += 1;
-                    st.buf.push_back(QueuedTx {
-                        tx,
-                        enqueued: Instant::now(),
-                    });
-                    self.not_empty.notify_one();
-                    drop(st);
-                    if let Some(v) = victim {
-                        self.trace_shed(v.tx.id, Some(v.enqueued.elapsed()));
-                        recycle(&self.pool, v.tx);
-                    }
-                    return Admission::AcceptedSheddingOldest;
-                }
-            }
-        }
-        st.buf.push_back(QueuedTx {
-            tx,
-            enqueued: Instant::now(),
-        });
-        let depth = st.buf.len() as u64;
-        st.counters.max_depth = st.counters.max_depth.max(depth);
-        self.not_empty.notify_one();
-        Admission::Accepted
-    }
-
-    /// Takes the next transaction, blocking while the queue is open and
-    /// empty. Returns `None` once the queue is closed *and* drained — the
-    /// worker's signal to exit.
-    pub(crate) fn pop(&self) -> Option<QueuedTx> {
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(q) = st.buf.pop_front() {
-                self.not_full.notify_one();
-                return Some(q);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("queue lock");
-        }
-    }
-
-    /// Closes the front door: subsequent submissions are rejected, queued
-    /// transactions still drain, blocked submitters and idle workers wake.
-    pub fn close(&self) {
-        let mut st = self.state.lock().expect("queue lock");
-        st.closed = true;
-        drop(st);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Whether [`TxQueue::close`] has been called — submissions are
-    /// being rejected and the queue is draining. Network front-ends use
-    /// this to answer `Draining` instead of offering doomed work.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-
-    /// Transactions currently queued (a gauge; racy by nature).
-    pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").buf.len()
-    }
-
-    /// Snapshot of the admission counters.
-    pub fn counters(&self) -> QueueCounters {
-        self.state.lock().expect("queue lock").counters
-    }
-
-    /// Depth and counters under a single lock acquisition — what the
-    /// telemetry sampler wants, instead of paying (and racing) two
-    /// separate [`TxQueue::depth`] / [`TxQueue::counters`] locks.
-    pub fn snapshot(&self) -> QueueSnapshot {
-        let st = self.state.lock().expect("queue lock");
-        QueueSnapshot {
-            depth: st.buf.len() as u64,
-            counters: st.counters,
-            shards: Vec::new(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tx(id: u64) -> Transaction {
-        Transaction {
-            id,
-            ops: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn fifo_order_within_capacity() {
-        let q = TxQueue::new(8, AdmissionPolicy::Reject);
-        for i in 0..5 {
-            assert_eq!(q.submit(tx(i)), Admission::Accepted);
-        }
-        for i in 0..5 {
-            assert_eq!(q.pop().unwrap().tx.id, i);
-        }
-        assert_eq!(q.counters().max_depth, 5);
-    }
-
-    #[test]
-    fn reject_policy_bounces_when_full() {
-        let q = TxQueue::new(2, AdmissionPolicy::Reject);
-        assert_eq!(q.submit(tx(0)), Admission::Accepted);
-        assert_eq!(q.submit(tx(1)), Admission::Accepted);
-        assert_eq!(q.submit(tx(2)), Admission::Rejected);
-        let c = q.counters();
-        assert_eq!((c.submitted, c.shed), (3, 1));
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn shed_oldest_keeps_freshest() {
-        let q = TxQueue::new(2, AdmissionPolicy::ShedOldest);
-        q.submit(tx(0));
-        q.submit(tx(1));
-        assert_eq!(q.submit(tx(2)), Admission::AcceptedSheddingOldest);
-        assert_eq!(q.pop().unwrap().tx.id, 1);
-        assert_eq!(q.pop().unwrap().tx.id, 2);
-        assert_eq!(q.counters().shed, 1);
-    }
-
-    #[test]
-    fn close_rejects_submissions_but_drains() {
-        let q = TxQueue::new(4, AdmissionPolicy::Block);
-        q.submit(tx(0));
-        q.close();
-        assert_eq!(q.submit(tx(1)), Admission::Rejected);
-        assert_eq!(q.pop().unwrap().tx.id, 0);
-        assert!(q.pop().is_none());
-        let c = q.counters();
-        assert_eq!(c.submitted, 2);
-        assert_eq!(c.shed, 1);
-    }
-
-    #[test]
-    fn block_policy_waits_for_space() {
-        use std::sync::Arc;
-        let q = Arc::new(TxQueue::new(1, AdmissionPolicy::Block));
-        q.submit(tx(0));
-        let q2 = Arc::clone(&q);
-        let submitter = std::thread::spawn(move || q2.submit(tx(1)));
-        // Give the submitter time to block, then free a slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop().unwrap().tx.id, 0);
-        assert_eq!(submitter.join().unwrap(), Admission::Accepted);
-        assert_eq!(q.pop().unwrap().tx.id, 1);
-        assert_eq!(q.counters().shed, 0);
-    }
-
-    #[test]
-    fn close_releases_blocked_submitters() {
-        use std::sync::Arc;
-        let q = Arc::new(TxQueue::new(1, AdmissionPolicy::Block));
-        q.submit(tx(0));
-        let q2 = Arc::clone(&q);
-        let submitter = std::thread::spawn(move || q2.submit(tx(1)));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert_eq!(submitter.join().unwrap(), Admission::Rejected);
-    }
-
-    #[test]
-    fn pop_blocks_until_work_arrives() {
-        use std::sync::Arc;
-        let q = Arc::new(TxQueue::new(4, AdmissionPolicy::Block));
-        let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop().map(|q| q.tx.id));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.submit(tx(9));
-        assert_eq!(popper.join().unwrap(), Some(9));
     }
 }

@@ -8,9 +8,9 @@
 //! a [`ServerReport`] whose accounting identity
 //! `submitted == completed + shed` is checked before it is returned.
 
-use crate::ingress::IngressQueue;
 use crate::pool::{PoolStats, TxBufferPool};
-use crate::queue::{Admission, AdmissionPolicy, QueueMode};
+use crate::queue::{Admission, AdmissionPolicy};
+use crate::shard::ShardedTxQueue;
 use crate::telemetry::{ObsConfig, ObsSample, Sampler, ServerTelemetry};
 use crate::worker::{self, WorkerReport};
 use crate::Transaction;
@@ -27,16 +27,12 @@ pub struct ServerConfig {
     pub kind: AllocatorKind,
     /// Worker threads (one heap each).
     pub workers: usize,
-    /// Ingress queue capacity (total across shards in sharded mode).
+    /// Ingress queue capacity, total across the per-worker shards.
     pub queue_capacity: usize,
-    /// What happens to arrivals when the queue is full.
+    /// What happens to arrivals when a shard is full.
     pub policy: AdmissionPolicy,
-    /// Ingress implementation: the single global queue, or one shard per
-    /// worker with batched drain and stealing (the default).
-    pub queue_mode: QueueMode,
     /// Maximum transactions a worker takes from its shard per lock
-    /// acquisition (sharded mode only; the global queue hands over one at
-    /// a time).
+    /// acquisition.
     pub batch: usize,
     /// Per-worker static data area (interpreter tables etc.), bytes.
     pub static_bytes: u64,
@@ -51,7 +47,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 128,
             policy: AdmissionPolicy::Block,
-            queue_mode: QueueMode::Sharded,
             batch: 32,
             static_bytes: 2 << 20,
             obs: None,
@@ -61,7 +56,7 @@ impl Default for ServerConfig {
 
 /// A running pool of allocator workers behind a bounded queue.
 pub struct Server {
-    queue: Arc<IngressQueue>,
+    queue: Arc<ShardedTxQueue>,
     pool: Arc<TxBufferPool>,
     handles: Vec<JoinHandle<(WorkerReport, LatencyHistogram)>>,
     kind: AllocatorKind,
@@ -82,8 +77,7 @@ impl Server {
             .obs
             .as_ref()
             .map(|obs| Arc::new(ServerTelemetry::new(obs, config.workers)));
-        let mut queue = IngressQueue::new(
-            config.queue_mode,
+        let mut queue = ShardedTxQueue::new(
             config.workers,
             config.queue_capacity,
             config.policy,
@@ -148,7 +142,7 @@ impl Server {
 
     /// Offers one transaction pinned to the shard `key` hashes to —
     /// affinity-keyed submission (same session, same tenant → same
-    /// worker heap). The global queue accepts and ignores the key.
+    /// worker heap, unless another worker steals it to balance load).
     pub fn submit_affinity(&self, key: u64, tx: Transaction) -> Admission {
         self.queue.submit_affinity(key, tx)
     }
@@ -237,7 +231,6 @@ impl Server {
             workers: per_worker.len() as u64,
             queue_capacity: self.queue.capacity() as u64,
             policy: self.queue.policy().id().to_string(),
-            queue_mode: self.queue.mode().id().to_string(),
             submitted: counters.submitted,
             completed,
             shed: counters.shed,
@@ -260,7 +253,7 @@ impl Server {
 /// Cloneable handle submitting transactions to a running [`Server`].
 #[derive(Clone)]
 pub struct Ingress {
-    queue: Arc<IngressQueue>,
+    queue: Arc<ShardedTxQueue>,
     pool: Arc<TxBufferPool>,
 }
 
@@ -299,8 +292,6 @@ pub struct ServerReport {
     pub queue_capacity: u64,
     /// Admission policy id.
     pub policy: String,
-    /// Ingress implementation id (`global` or `sharded`).
-    pub queue_mode: String,
     /// Transactions offered.
     pub submitted: u64,
     /// Transactions fully executed.
@@ -308,10 +299,9 @@ pub struct ServerReport {
     /// Transactions dropped by admission control.
     pub shed: u64,
     /// Transactions served by a worker other than the one whose shard
-    /// admitted them (work stealing; 0 in global mode).
+    /// admitted them (work stealing).
     pub steals: u64,
-    /// Deepest the ingress queue got (deepest single shard in sharded
-    /// mode).
+    /// Deepest any single ingress shard got.
     pub max_queue_depth: u64,
     /// Wall-clock duration of the run (start to drain), nanoseconds.
     pub wall_ns: u64,

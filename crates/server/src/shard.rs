@@ -1,14 +1,14 @@
 //! Sharded work-stealing ingress: per-worker queues, batched drain,
 //! steal-half balancing.
 //!
-//! The paper's thesis is that per-transaction memory management must stay
-//! off the shared bottleneck; the serving harness's original single
-//! `Mutex`+`Condvar` ingress queue re-created exactly such a bottleneck
-//! in software — every submitter and every worker serialized on one lock,
-//! so adding workers mostly added lock handoffs. This module applies the
-//! same cure multicore allocators use (Hoard's per-processor heaps,
-//! scalloc's per-core spans): **per-worker structures with stealing for
-//! balance**.
+//! This is the server's only ingress. The paper's thesis is that
+//! per-transaction memory management must stay off the shared
+//! bottleneck, and a single `Mutex`+`Condvar` queue would re-create such
+//! a bottleneck in software — every submitter and every worker
+//! serialized on one lock. This module applies the same cure multicore
+//! allocators use (Hoard's per-processor heaps, scalloc's per-core
+//! spans): **per-worker structures with stealing for balance**. With one
+//! worker it is a single FIFO queue.
 //!
 //! * Submitters spread transactions over one shard per worker, round-robin
 //!   by default or keyed by an affinity value ([`ShardedTxQueue::submit_affinity`]).
@@ -21,10 +21,10 @@
 //!
 //! Admission control ([`AdmissionPolicy`]) applies at the *shard* level:
 //! the configured capacity is divided evenly across shards, and a full
-//! shard blocks / rejects / sheds its own oldest exactly as the global
-//! queue would. Shard-level shed preserves the paper's drop semantics —
-//! under overload the freshest work in each shard survives — while
-//! keeping the shed decision on the submitter's lock, never a global one.
+//! shard blocks / rejects / sheds its own oldest. Shard-level shed
+//! preserves the paper's drop semantics — under overload the freshest
+//! work in each shard survives — while keeping the shed decision on the
+//! submitter's lock, never a global one.
 //!
 //! Accounting stays exact across steals: `submitted` and `shed` are
 //! counted at the shard where the event happened, and a steal merely
@@ -49,8 +49,7 @@ use webmm_obs::ShardSample;
 /// How a batch of transactions reached a worker.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Fill {
-    /// `n` transactions drained from the worker's own shard (or, for the
-    /// global queue, popped from the shared buffer).
+    /// `n` transactions drained from the worker's own shard.
     Own(usize),
     /// `n` transactions stolen from another worker's shard.
     Stolen(usize),
@@ -170,9 +169,9 @@ impl ShardedTxQueue {
         self.shard_capacity
     }
 
-    /// Offers a transaction to the next shard in round-robin order. Same
-    /// admission semantics as [`TxQueue::submit`](crate::TxQueue::submit),
-    /// applied at the chosen shard.
+    /// Offers a transaction to the next shard in round-robin order; the
+    /// chosen shard applies the [`AdmissionPolicy`] (see
+    /// [`Admission`] for the outcomes).
     pub fn submit(&self, tx: Transaction) -> Admission {
         let shard = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.submit_to(shard, tx)
@@ -411,6 +410,7 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.submit(tx(i)), Admission::Accepted);
         }
+        assert_eq!(q.counters().max_depth, 10);
         q.close();
         let mut out = VecDeque::new();
         assert_eq!(q.pop_batch(0, &mut out), Fill::Own(4));
@@ -474,6 +474,17 @@ mod tests {
     }
 
     #[test]
+    fn shed_oldest_keeps_the_freshest_in_fifo_order() {
+        let q = ShardedTxQueue::new(1, 2, AdmissionPolicy::ShedOldest, 8);
+        q.submit(tx(0));
+        q.submit(tx(1));
+        assert_eq!(q.submit(tx(2)), Admission::AcceptedSheddingOldest);
+        q.close();
+        assert_eq!(drain_ids(&q, 0), vec![1, 2]);
+        assert_eq!(q.counters().shed, 1);
+    }
+
+    #[test]
     fn shed_oldest_applies_at_the_shard_level() {
         // Capacity 4 over 2 shards: each shard holds 2.
         let q = ShardedTxQueue::new(2, 4, AdmissionPolicy::ShedOldest, 8);
@@ -518,6 +529,22 @@ mod tests {
         let c = q.counters();
         assert_eq!(c.submitted, 8);
         assert_eq!(c.shed, 1);
+    }
+
+    #[test]
+    fn block_policy_waits_for_space_freed_by_own_drain() {
+        let q = Arc::new(ShardedTxQueue::new(1, 1, AdmissionPolicy::Block, 8));
+        q.submit(tx(0));
+        let q2 = Arc::clone(&q);
+        let submitter = std::thread::spawn(move || q2.submit(tx(1)));
+        std::thread::sleep(Duration::from_millis(20));
+        let mut out = VecDeque::new();
+        assert_eq!(q.pop_batch(0, &mut out), Fill::Own(1));
+        assert_eq!(out.pop_front().unwrap().tx.id, 0);
+        assert_eq!(submitter.join().unwrap(), Admission::Accepted);
+        assert_eq!(q.pop_batch(0, &mut out), Fill::Own(1));
+        assert_eq!(out.pop_front().unwrap().tx.id, 1);
+        assert_eq!(q.counters().shed, 0);
     }
 
     #[test]

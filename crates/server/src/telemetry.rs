@@ -27,7 +27,7 @@ use webmm_obs::{
     SlidingWindow, TxSpan, TxTracer,
 };
 
-use crate::ingress::IngressQueue;
+use crate::shard::ShardedTxQueue;
 
 /// Configuration of the live-telemetry subsystem.
 #[derive(Clone, Debug)]
@@ -111,9 +111,9 @@ impl ServerTelemetry {
 
     /// Assembles one time-series sample from the current state. The
     /// queue's depth, counters, and per-shard breakdown come from one
-    /// coherent [`snapshot`](crate::TxQueue::snapshot) — a single lock
+    /// coherent [`snapshot`](ShardedTxQueue::snapshot) — a single lock
     /// acquisition per shard, not separate `depth()`/`counters()` locks.
-    pub(crate) fn sample(&self, queue: &IngressQueue) -> ObsSample {
+    pub(crate) fn sample(&self, queue: &ShardedTxQueue) -> ObsSample {
         let snap = queue.snapshot();
         ObsSample {
             run: self.run.clone(),
@@ -168,8 +168,7 @@ pub struct ObsSample {
     pub submitted: u64,
     /// Cumulative sheds at sampling time.
     pub shed: u64,
-    /// Per-shard depth, admission, and steal counters (empty with the
-    /// global queue).
+    /// Per-shard depth, admission, and steal counters, one per worker.
     pub shards: Vec<ShardSample>,
     /// Cumulative completions at sampling time.
     pub completed: u64,
@@ -263,7 +262,7 @@ impl Sampler {
     /// configured output. Returns the collected samples at stop.
     pub(crate) fn spawn(
         telemetry: Arc<ServerTelemetry>,
-        queue: Arc<IngressQueue>,
+        queue: Arc<ShardedTxQueue>,
         config: &ObsConfig,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));

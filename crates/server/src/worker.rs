@@ -17,9 +17,8 @@
 //! amortized — one timestamp per drained batch on the dequeue side, one
 //! per transaction at completion, and metric flushes once per batch.
 
-use crate::ingress::IngressQueue;
 use crate::pool::TxBufferPool;
-use crate::shard::Fill;
+use crate::shard::{Fill, ShardedTxQueue};
 use crate::telemetry::{ServerTelemetry, WorkerMetrics};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -49,7 +48,7 @@ pub struct WorkerReport {
     /// metadata work plus application compute).
     pub sim_instructions: u64,
     /// Transactions this worker obtained by stealing from other workers'
-    /// shards (always 0 with the global queue; counted on the thief).
+    /// shards (counted on the thief).
     pub steals: u64,
 }
 
@@ -206,9 +205,8 @@ impl TxExecutor {
 ///
 /// Intake is batched: the worker refills a private `pending` buffer from
 /// its ingress (its own shard in one lock acquisition, or a steal from a
-/// victim shard when dry — one transaction per call with the global
-/// queue) and then serves the whole batch without touching any shared
-/// lock. Steals are counted on the thief's report.
+/// victim shard when dry) and then serves the whole batch without
+/// touching any shared lock. Steals are counted on the thief's report.
 ///
 /// Timing is amortized over the batch: queue-wait is measured against a
 /// single per-batch timestamp taken right after the refill, and each
@@ -227,7 +225,7 @@ pub(crate) fn run(
     worker: u64,
     kind: AllocatorKind,
     static_bytes: u64,
-    queue: Arc<IngressQueue>,
+    queue: Arc<ShardedTxQueue>,
     pool: Arc<TxBufferPool>,
     telemetry: Option<Arc<ServerTelemetry>>,
 ) -> (WorkerReport, LatencyHistogram) {
@@ -240,7 +238,7 @@ pub(crate) fn run(
     let mut pending: VecDeque<crate::queue::QueuedTx> = VecDeque::new();
     'serve: loop {
         while pending.is_empty() {
-            match queue.fill(worker as usize, &mut pending) {
+            match queue.pop_batch(worker as usize, &mut pending) {
                 Fill::Closed => break 'serve,
                 Fill::Own(_) => {}
                 Fill::Stolen(n) => {

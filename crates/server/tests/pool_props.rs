@@ -4,8 +4,8 @@
 //! → pool → generator — and admission control adds side exits (rejected
 //! and shed transactions return their buffers from the queue, not a
 //! worker). These properties pin down the two things that loop must
-//! never get wrong, across queue modes, admission policies, worker
-//! counts, and load levels:
+//! never get wrong, across admission policies, worker counts, and load
+//! levels:
 //!
 //! * **accounting stays exact**: `submitted == completed + shed` holds,
 //!   every generated buffer comes back (`returned == submitted` once the
@@ -17,14 +17,8 @@
 //!   simultaneously-outstanding buffers are always distinct allocations.
 
 use proptest::prelude::*;
-use webmm_server::{
-    drive_closed, AdmissionPolicy, QueueMode, Server, ServerConfig, TxBufferPool, TxFactory,
-};
+use webmm_server::{drive_closed, AdmissionPolicy, Server, ServerConfig, TxBufferPool, TxFactory};
 use webmm_workload::{phpbb, WorkOp};
-
-fn queue_mode() -> impl Strategy<Value = QueueMode> {
-    prop_oneof![Just(QueueMode::Global), Just(QueueMode::Sharded)]
-}
 
 fn policy() -> impl Strategy<Value = AdmissionPolicy> {
     prop_oneof![
@@ -43,7 +37,6 @@ proptest! {
     /// generated.
     #[test]
     fn recycling_accounting_is_exact_under_any_admission_outcome(
-        mode in queue_mode(),
         policy in policy(),
         workers in 1usize..4,
         txs in 1u64..150,
@@ -53,7 +46,6 @@ proptest! {
             workers,
             queue_capacity: capacity,
             policy,
-            queue_mode: mode,
             batch: 8,
             static_bytes: 1 << 16,
             ..ServerConfig::default()
@@ -64,7 +56,7 @@ proptest! {
 
         prop_assert_eq!(report.submitted, txs);
         prop_assert_eq!(report.completed + report.shed, report.submitted,
-            "identity must hold in {} mode under {:?}", report.queue_mode, policy);
+            "identity must hold under {:?}", policy);
 
         let stats = pool.stats();
         // Every transaction's buffer is taken from the pool exactly once…

@@ -12,7 +12,7 @@
 
 use rand::{Rng, SeedableRng};
 use webmm_alloc::AllocatorKind;
-use webmm_server::{AdmissionPolicy, QueueMode, Server, ServerConfig, Transaction};
+use webmm_server::{AdmissionPolicy, Server, ServerConfig, Transaction};
 use webmm_workload::WorkOp;
 
 fn tiny_tx(id: u64) -> Transaction {
@@ -33,7 +33,6 @@ fn sharded_config(workers: usize, capacity: usize, policy: AdmissionPolicy) -> S
         workers,
         queue_capacity: capacity,
         policy,
-        queue_mode: QueueMode::Sharded,
         batch: 4,
         static_bytes: 1 << 16,
         obs: None,

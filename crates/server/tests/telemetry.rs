@@ -65,10 +65,24 @@ fn final_sample_reflects_settled_server() {
     assert_eq!(last.completed, report.completed);
     assert_eq!(last.shed, report.shed);
     // Every worker published a heap snapshot, and freeAll emptied them.
+    // Each phpBB transaction ends in exactly one EndTx, which runs exactly
+    // one freeAll, so a worker's freeAll count is its completion count —
+    // which may be zero when other workers stole its whole shard.
     assert_eq!(last.workers.len(), WORKERS);
+    let per_worker_completed: u64 = report.per_worker.iter().map(|w| w.completed).sum();
+    assert_eq!(per_worker_completed, report.completed);
     for w in &last.workers {
+        let served = report
+            .per_worker
+            .iter()
+            .find(|r| r.worker == w.worker)
+            .expect("report covers every sampled worker");
         assert_eq!(w.heap.tx_live_bytes, 0, "worker {}", w.worker);
-        assert!(w.heap.free_all_count > 0, "worker {}", w.worker);
+        assert_eq!(
+            w.heap.free_all_count, served.completed,
+            "worker {}",
+            w.worker
+        );
         assert!(!w.heap.classes.is_empty(), "worker {}", w.worker);
     }
     // Mid-run samples saw the sliding window populated.
@@ -115,8 +129,11 @@ fn tx_spans_cover_completions_and_sheds() {
         ..ServerConfig::default()
     });
     drive_closed(&server, TxFactory::new(phpbb(), 1024, SEED), 32, 8);
-    let spans = server.dump_spans();
+    // Dump after the drain: before it, workers may not have completed
+    // (and so traced) anything yet.
+    let telemetry = std::sync::Arc::clone(server.telemetry().expect("obs configured"));
     let report = server.finish();
+    let spans = telemetry.dump_spans();
     assert_eq!(report.completed + report.shed, report.submitted);
     let completed_spans = spans.iter().filter(|s| !s.shed).count() as u64;
     let shed_spans = spans.iter().filter(|s| s.shed).count() as u64;
