@@ -61,6 +61,9 @@ struct NativeBenchEntry {
     /// `steals / completed` — how much of the throughput came through
     /// the stealing path.
     steal_rate: f64,
+    /// Times a worker found no work and waited on its shard, summed over
+    /// workers.
+    parks: u64,
     /// `std::thread::available_parallelism()` on the machine that
     /// produced this entry: scaling curves are only meaningful relative
     /// to the hardware concurrency that was actually available.
@@ -280,6 +283,7 @@ fn main() {
                 shed: report.shed,
                 steals: report.steals,
                 steal_rate,
+                parks: report.per_worker.iter().map(|w| w.parks).sum(),
                 parallelism,
             });
         }

@@ -58,6 +58,9 @@ struct NetBenchEntry {
     /// Request-direction bytes over loopback for the whole cell.
     bytes_in: u64,
     bytes_out: u64,
+    /// Times a worker found no work and waited on its shard, summed over
+    /// workers.
+    parks: u64,
     parallelism: u64,
 }
 
@@ -251,6 +254,7 @@ fn main() {
             rejected: client.rejected,
             bytes_in: report.net.bytes_in,
             bytes_out: report.net.bytes_out,
+            parks: report.server.per_worker.iter().map(|w| w.parks).sum(),
             parallelism,
         });
     }

@@ -50,6 +50,9 @@ pub struct WorkerReport {
     /// Transactions this worker obtained by stealing from other workers'
     /// shards (counted on the thief).
     pub steals: u64,
+    /// Times this worker found no work anywhere and waited on its shard's
+    /// condition variable (after spinning, where the host allows it).
+    pub parks: u64,
 }
 
 /// The transaction execution engine a worker thread owns: one private
@@ -320,6 +323,7 @@ pub(crate) fn run(
         t.publish_heap(worker as usize, snap);
     }
     state.report.sim_instructions = state.port.instructions();
+    state.report.parks = queue.parks(worker as usize);
     (state.report, latencies)
 }
 
