@@ -138,6 +138,12 @@ pub struct OpStats {
 
 /// A dynamic memory allocator operating on simulated memory.
 ///
+/// The port-taking methods are generic over `P: MemoryPort + ?Sized`, so
+/// each caller's port type gets its own inlined copy of the allocator and
+/// `&mut dyn MemoryPort` still works. Generic methods make the trait
+/// unusable as `dyn Allocator`; [`Heap`](crate::Heap) is the one type
+/// that holds an allocator of any kind.
+///
 /// # Contract
 ///
 /// * Returned addresses are nonzero, aligned to at least 8 bytes, and the
@@ -172,14 +178,18 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
     ///
     /// Returns [`AllocError::InvalidRequest`] for zero-sized or oversized
     /// requests and [`AllocError::OutOfMemory`] when the heap is exhausted.
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError>;
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError>;
 
     /// Frees the object at `addr`.
     ///
     /// For allocators without per-object free (region, obstack) this is a
     /// no-op; the runtime consults [`AllocTraits::per_object_free`] and
     /// omits the calls, as the paper's porting recipe requires.
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr);
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr);
 
     /// Resizes the object at `addr` to `new_size` bytes, moving it if
     /// necessary. `old_size` is the caller-tracked payload size, used only
@@ -188,9 +198,9 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
     /// # Errors
     ///
     /// Same conditions as [`Allocator::malloc`].
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -200,7 +210,7 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
     ///
     /// Implementations that do not support bulk freeing (glibc-, Hoard- and
     /// TCmalloc-style) panic; consult [`AllocTraits::bulk_free`] first.
-    fn free_all(&mut self, port: &mut dyn MemoryPort);
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P);
 
     /// Current memory consumption (Figure 9 definitions).
     fn footprint(&self) -> Footprint;
@@ -213,8 +223,8 @@ pub trait Allocator: webmm_obs::HeapTelemetry {
 /// allocator's code region (registered lazily on first use as *shared
 /// text* — allocators are shared libraries, so every process fetches the
 /// same lines).
-pub(crate) fn enter_mm(
-    port: &mut dyn MemoryPort,
+pub(crate) fn enter_mm<P: MemoryPort + ?Sized>(
+    port: &mut P,
     code_id: &mut Option<webmm_sim::CodeRegionId>,
     spec: CodeSpec,
 ) {
@@ -228,7 +238,7 @@ pub(crate) fn enter_mm(
 }
 
 /// Restores the application category on exit from allocator code.
-pub(crate) fn exit_mm(port: &mut dyn MemoryPort) {
+pub(crate) fn exit_mm<P: MemoryPort + ?Sized>(port: &mut P) {
     port.set_category(Category::Application);
 }
 

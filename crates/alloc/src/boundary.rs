@@ -38,6 +38,9 @@ const F_USED: u64 = 1;
 /// `size_flags` bit: the physically previous block is allocated.
 const F_PREV_USED: u64 = 2;
 
+/// Bookkeeping charges are literal counts below this bound.
+const SCALED_LEN: usize = 16;
+
 /// Simulated-memory layout of the heap metadata.
 #[derive(Copy, Clone, Debug)]
 struct Layout {
@@ -59,10 +62,13 @@ pub(crate) struct BoundaryHeap {
     /// Keep large bins sorted by size (Lea-style best fit) instead of
     /// capped first-fit.
     sorted_large_bins: bool,
-    /// Multiplier on the engine's bookkeeping instruction counts. The Zend
-    /// allocator's paths are leaner than glibc's (fewer consistency checks,
-    /// no arena locking protocol), which this calibrates.
-    exec_scale: f64,
+    /// The engine's bookkeeping instruction counts, indexed by unscaled
+    /// count and multiplied by the heap's exec scale. The Zend allocator's
+    /// paths are leaner than glibc's (fewer consistency checks, no arena
+    /// locking protocol), which the scale calibrates. Precomputed so the
+    /// per-operation charge is a table load, not a float multiply and a
+    /// software `round`.
+    scaled: [u64; SCALED_LEN],
     layout: Option<Layout>,
     arenas: Vec<Addr>,
     /// Bytes carved in each arena since the last reset — the exclusive
@@ -89,7 +95,7 @@ impl BoundaryHeap {
     }
 
     /// Like [`BoundaryHeap::new`] with a scale on bookkeeping instruction
-    /// counts (see `exec_scale`).
+    /// counts (see `scaled`).
     pub fn with_exec_scale(
         arena_bytes: u64,
         max_arenas: u32,
@@ -101,7 +107,7 @@ impl BoundaryHeap {
             arena_bytes,
             max_arenas,
             sorted_large_bins,
-            exec_scale,
+            scaled: std::array::from_fn(|n| (n as f64 * exec_scale).round() as u64),
             layout: None,
             arenas: Vec::new(),
             carved: Vec::new(),
@@ -116,8 +122,12 @@ impl BoundaryHeap {
     }
 
     /// Charges scaled bookkeeping instructions.
-    fn exec(&self, port: &mut dyn MemoryPort, n: u64) {
-        port.exec((n as f64 * self.exec_scale).round() as u64);
+    fn exec<P: MemoryPort + ?Sized>(&self, port: &mut P, n: u64) {
+        debug_assert!(
+            (n as usize) < SCALED_LEN,
+            "bookkeeping charge {n} out of table"
+        );
+        port.exec(self.scaled[n as usize]);
     }
 
     /// Total bytes obtained from the OS for arenas.
@@ -172,7 +182,7 @@ impl BoundaryHeap {
             .any(|&a| addr >= a && addr < a + self.arena_bytes)
     }
 
-    fn layout(&mut self, port: &mut dyn MemoryPort) -> Layout {
+    fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
         if let Some(l) = self.layout {
             return l;
         }
@@ -208,7 +218,7 @@ impl BoundaryHeap {
     }
 
     /// Exclusive upper bound of valid block headers in `b`'s arena.
-    fn block_bound(&self, port: &mut dyn MemoryPort, l: &Layout, b: Addr) -> Addr {
+    fn block_bound<P: MemoryPort + ?Sized>(&self, port: &mut P, l: &Layout, b: Addr) -> Addr {
         let idx = self.arena_of(b);
         if idx == self.current_arena {
             Addr::new(port.load_u64(l.cursor))
@@ -226,7 +236,7 @@ impl BoundaryHeap {
         }
     }
 
-    fn binmap_set(&self, port: &mut dyn MemoryPort, l: &Layout, bin: usize, set: bool) {
+    fn binmap_set<P: MemoryPort + ?Sized>(&self, port: &mut P, l: &Layout, bin: usize, set: bool) {
         let word_addr = l.binmap + (bin / 64) as u64 * 8;
         let mut w = port.load_u64(word_addr);
         if set {
@@ -241,7 +251,7 @@ impl BoundaryHeap {
     /// Inserts free block `b` (header already written) into its bin. In
     /// sorted mode, large bins are kept in ascending size order (Lea-style),
     /// which costs an insertion walk.
-    fn bin_insert(&mut self, port: &mut dyn MemoryPort, l: &Layout, b: Addr, size: u64) {
+    fn bin_insert<P: MemoryPort + ?Sized>(&mut self, port: &mut P, l: &Layout, b: Addr, size: u64) {
         self.free_blocks += 1;
         self.free_bytes += size;
         let bin = Self::bin_of(size);
@@ -293,7 +303,7 @@ impl BoundaryHeap {
     }
 
     /// Unlinks free block `b` of size `size` from its bin.
-    fn bin_unlink(&mut self, port: &mut dyn MemoryPort, l: &Layout, b: Addr, size: u64) {
+    fn bin_unlink<P: MemoryPort + ?Sized>(&mut self, port: &mut P, l: &Layout, b: Addr, size: u64) {
         self.free_blocks = self.free_blocks.saturating_sub(1);
         self.free_bytes = self.free_bytes.saturating_sub(size);
         let bin = Self::bin_of(size);
@@ -314,14 +324,14 @@ impl BoundaryHeap {
         self.exec(port, 8);
     }
 
-    fn read_header(&self, port: &mut dyn MemoryPort, b: Addr) -> (u64, u64) {
+    fn read_header<P: MemoryPort + ?Sized>(&self, port: &mut P, b: Addr) -> (u64, u64) {
         let size_flags = port.load_u64(b);
         (size_flags & !7, size_flags & 7)
     }
 
-    fn write_header(
+    fn write_header<P: MemoryPort + ?Sized>(
         &self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         b: Addr,
         size: u64,
         used: bool,
@@ -341,9 +351,9 @@ impl BoundaryHeap {
     /// Updates the next physical block's prev_size and prev-used flag.
     /// `end` is the first address past the block; `bound` is the exclusive
     /// limit of valid headers in its arena.
-    fn sync_next(
+    fn sync_next<P: MemoryPort + ?Sized>(
         &self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         end: Addr,
         bound: Addr,
         prev_size: u64,
@@ -364,7 +374,12 @@ impl BoundaryHeap {
     }
 
     /// Finds the first non-empty bin index >= `from` via the bitmap.
-    fn find_bin(&self, port: &mut dyn MemoryPort, l: &Layout, from: usize) -> Option<usize> {
+    fn find_bin<P: MemoryPort + ?Sized>(
+        &self,
+        port: &mut P,
+        l: &Layout,
+        from: usize,
+    ) -> Option<usize> {
         let mut word_idx = from / 64;
         let mut mask = !0u64 << (from % 64);
         while word_idx * 64 < N_BINS {
@@ -380,9 +395,9 @@ impl BoundaryHeap {
     }
 
     /// Carves `need` bytes from the wilderness, growing into new arenas.
-    fn carve(
+    fn carve<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         need: u64,
     ) -> Result<Addr, AllocError> {
@@ -429,7 +444,11 @@ impl BoundaryHeap {
     }
 
     /// Allocates `size` payload bytes.
-    pub fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    pub fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         debug_assert!(
             size > 0,
             "zero-size request must be filtered by the wrapper"
@@ -517,7 +536,7 @@ impl BoundaryHeap {
 
     /// Frees the block whose payload starts at `addr`, coalescing with free
     /// physical neighbours.
-    pub fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    pub fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let l = self.layout(port);
         let mut b = addr - HEADER;
         let (mut size, flags) = self.read_header(port, b);
@@ -579,7 +598,7 @@ impl BoundaryHeap {
     }
 
     /// Usable payload size of the live block at `addr`.
-    pub fn usable(&mut self, port: &mut dyn MemoryPort, addr: Addr) -> u64 {
+    pub fn usable<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) -> u64 {
         let b = addr - HEADER;
         let (size, _) = self.read_header(port, b);
         self.exec(port, 4);
@@ -588,7 +607,7 @@ impl BoundaryHeap {
 
     /// Bulk reset: clears every bin and rewinds the wilderness to the first
     /// arena (Zend's per-request heap teardown).
-    pub fn reset(&mut self, port: &mut dyn MemoryPort) {
+    pub fn reset<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         let l = self.layout(port);
         for bin in 0..N_BINS as u64 {
             port.store_u64(l.bins + bin * 8, 0);
@@ -615,6 +634,20 @@ impl BoundaryHeap {
 mod tests {
     use super::*;
     use webmm_sim::PlainPort;
+
+    #[test]
+    fn scaled_table_matches_float_charge() {
+        for exec_scale in [0.7, 1.0] {
+            let h = BoundaryHeap::with_exec_scale(1 << 20, 1, false, exec_scale);
+            for n in 0..SCALED_LEN as u64 {
+                assert_eq!(
+                    h.scaled[n as usize],
+                    (n as f64 * exec_scale).round() as u64,
+                    "n = {n}, scale = {exec_scale}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bin_of_is_monotone_and_bounded() {

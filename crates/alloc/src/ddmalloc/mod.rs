@@ -190,7 +190,7 @@ impl DdMalloc {
         &self.classes
     }
 
-    fn layout(&mut self, port: &mut dyn MemoryPort) -> Layout {
+    fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
         if let Some(l) = self.layout {
             return l;
         }
@@ -259,9 +259,9 @@ impl DdMalloc {
     ///
     /// The scan reads the class map through the port — 8 segments per
     /// 64-bit load — so heavily fragmented heaps pay a real, visible cost.
-    fn acquire_segments(
+    fn acquire_segments<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         need: u64,
     ) -> Result<u64, AllocError> {
@@ -319,9 +319,9 @@ impl DdMalloc {
         })
     }
 
-    fn malloc_small(
+    fn malloc_small<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         class: usize,
     ) -> Result<Addr, AllocError> {
@@ -395,9 +395,9 @@ impl DdMalloc {
         Ok(seg_addr)
     }
 
-    fn malloc_large(
+    fn malloc_large<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         size: u64,
     ) -> Result<Addr, AllocError> {
@@ -414,7 +414,7 @@ impl DdMalloc {
 
     /// Usable size of the live object at `addr` (class size, or span bytes
     /// for large objects).
-    fn usable_size(&mut self, port: &mut dyn MemoryPort, l: &Layout, addr: Addr) -> u64 {
+    fn usable_size<P: MemoryPort + ?Sized>(&mut self, port: &mut P, l: &Layout, addr: Addr) -> u64 {
         let seg = self.seg_index(l, addr);
         let tag = port.load_u8(l.class_map + seg);
         port.exec(4);
@@ -524,7 +524,11 @@ impl Allocator for DdMalloc {
     }
 
     #[inline]
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -558,7 +562,7 @@ impl Allocator for DdMalloc {
     }
 
     #[inline]
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         let l = self.layout(port);
@@ -601,9 +605,9 @@ impl Allocator for DdMalloc {
         exit_mm(port);
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -637,7 +641,7 @@ impl Allocator for DdMalloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         // Wall-clock timing feeds telemetry only; it never enters the
         // simulated instruction counts.
         let t0 = std::time::Instant::now();

@@ -101,7 +101,11 @@ impl Allocator for DlAlloc {
         CodeSpec::new(24 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -116,7 +120,7 @@ impl Allocator for DlAlloc {
         r
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.free(port, addr);
@@ -124,9 +128,9 @@ impl Allocator for DlAlloc {
         exit_mm(port);
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -160,7 +164,7 @@ impl Allocator for DlAlloc {
     /// Always panics: glibc malloc has no bulk-free interface. The runtime
     /// checks [`AllocTraits::bulk_free`] and restarts the process instead
     /// (§4.4).
-    fn free_all(&mut self, _port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, _port: &mut P) {
         panic!("glibc malloc does not support freeAll; restart the process instead");
     }
 

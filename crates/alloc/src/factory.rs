@@ -1,6 +1,6 @@
 //! Allocator registry: build any of the paper's allocators by name.
 
-use crate::api::Allocator;
+use crate::api::{AllocError, AllocTraits, Allocator, Footprint, OpStats};
 use crate::ddmalloc::{ClassMapping, DdConfig, DdMalloc};
 use crate::dl::{DlAlloc, DlConfig};
 use crate::hoard::{HoardAlloc, HoardConfig};
@@ -9,6 +9,8 @@ use crate::php_default::{PhpConfig, PhpDefaultAlloc};
 use crate::reaps::{ReapAlloc, ReapConfig};
 use crate::region::{RegionAlloc, RegionConfig};
 use crate::tcmalloc::{TcAlloc, TcConfig};
+use webmm_obs::{HeapSnapshot, HeapTelemetry};
+use webmm_sim::{Addr, CodeSpec, MemoryPort};
 
 /// Every allocator studied in the paper, as a buildable enum.
 ///
@@ -19,11 +21,12 @@ use crate::tcmalloc::{TcAlloc, TcConfig};
 /// allocators here mirror that — none of them is internally synchronized,
 /// so a built allocator must only ever be driven from one thread at a
 /// time. Handing a whole heap *to* a thread is fine and is the intended
-/// pattern for native execution: `AllocatorKind` is `Copy + Send`, and
-/// [`AllocatorKind::build_send`] certifies at compile time that every
-/// concrete allocator can move across the spawn boundary. What is *not*
-/// supported is two threads calling into the same allocator concurrently;
-/// nothing hands out `Sync` access, so the compiler rejects that too.
+/// pattern for native execution: `AllocatorKind` is `Copy + Send`, and the
+/// [`Heap`] that [`AllocatorKind::build`] returns is `Send` by
+/// construction, because no allocator in this crate keeps
+/// `Rc`/`RefCell`/raw-pointer state. What is *not* supported is two
+/// threads calling into the same allocator concurrently; nothing hands
+/// out `Sync` access, so the compiler rejects that too.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum AllocatorKind {
     /// The paper's contribution: the defrag-dodging DDmalloc (§3).
@@ -76,36 +79,27 @@ impl AllocatorKind {
     /// Builds the allocator with default configuration, tagged with the
     /// simulated process id `pid` (used by DDmalloc's metadata-placement
     /// optimization; ignored by the others).
-    pub fn build(self, pid: u32) -> Box<dyn Allocator> {
-        self.build_send(pid)
-    }
-
-    /// Like [`AllocatorKind::build`], but certifies the heap can be handed
-    /// to an OS thread: the returned box is `Send`, which holds because no
-    /// allocator in this crate keeps `Rc`/`RefCell`/raw-pointer state.
-    ///
-    /// This is the constructor the native serving harness
-    /// (`webmm-server`) uses — one worker thread, one heap, per the
-    /// invariant documented on [`AllocatorKind`].
-    pub fn build_send(self, pid: u32) -> Box<dyn Allocator + Send> {
+    pub fn build(self, pid: u32) -> Heap {
         match self {
-            AllocatorKind::DdMalloc => Box::new(DdMalloc::new(DdConfig {
+            AllocatorKind::DdMalloc => Heap::DdMalloc(DdMalloc::new(DdConfig {
                 pid,
                 ..DdConfig::default()
             })),
-            AllocatorKind::Region => Box::new(RegionAlloc::new(RegionConfig::default())),
-            AllocatorKind::Obstack => Box::new(ObstackAlloc::new(ObstackConfig::default())),
-            AllocatorKind::PhpDefault => Box::new(PhpDefaultAlloc::new(PhpConfig::default())),
-            AllocatorKind::Dl => Box::new(DlAlloc::new(DlConfig::default())),
-            AllocatorKind::Hoard => Box::new(HoardAlloc::new(HoardConfig::default())),
-            AllocatorKind::TcMalloc => Box::new(TcAlloc::new(TcConfig::default())),
-            AllocatorKind::Reaps => Box::new(ReapAlloc::new(ReapConfig::default())),
+            AllocatorKind::Region => Heap::Region(RegionAlloc::new(RegionConfig::default())),
+            AllocatorKind::Obstack => Heap::Obstack(ObstackAlloc::new(ObstackConfig::default())),
+            AllocatorKind::PhpDefault => {
+                Heap::PhpDefault(PhpDefaultAlloc::new(PhpConfig::default()))
+            }
+            AllocatorKind::Dl => Heap::Dl(DlAlloc::new(DlConfig::default())),
+            AllocatorKind::Hoard => Heap::Hoard(Box::new(HoardAlloc::new(HoardConfig::default()))),
+            AllocatorKind::TcMalloc => Heap::TcMalloc(Box::new(TcAlloc::new(TcConfig::default()))),
+            AllocatorKind::Reaps => Heap::Reaps(ReapAlloc::new(ReapConfig::default())),
         }
     }
 
     /// Builds a DDmalloc with an explicit configuration (ablation studies).
-    pub fn build_dd(config: DdConfig) -> Box<dyn Allocator> {
-        Box::new(DdMalloc::new(config))
+    pub fn build_dd(config: DdConfig) -> Heap {
+        Heap::DdMalloc(DdMalloc::new(config))
     }
 
     /// Builds a DDmalloc variant for a given segment size / mapping /
@@ -116,8 +110,8 @@ impl AllocatorKind {
         large_pages: bool,
         metadata_offset: bool,
         pid: u32,
-    ) -> Box<dyn Allocator> {
-        Box::new(DdMalloc::new(DdConfig {
+    ) -> Heap {
+        Self::build_dd(DdConfig {
             segment_bytes,
             // Keep the heap capacity constant at 512 MB across segment sizes.
             max_segments: ((512u64 << 20) / segment_bytes) as u32,
@@ -125,7 +119,7 @@ impl AllocatorKind {
             metadata_offset,
             pid,
             mapping,
-        }))
+        })
     }
 
     /// Short stable identifier (for CLI arguments and JSON output).
@@ -151,6 +145,105 @@ impl AllocatorKind {
 impl std::fmt::Display for AllocatorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.id())
+    }
+}
+
+/// One built allocator of any kind: what [`AllocatorKind::build`] returns.
+///
+/// A closed enum rather than a `Box<dyn Allocator>`: every [`Allocator`]
+/// method is generic over its [`MemoryPort`], so a call through `Heap` is
+/// one `match` followed by a direct, inlinable call into the concrete
+/// allocator monomorphized for the caller's port. The native executor
+/// (`PlainPort`) and the simulator (`ContextPort`) each get their own
+/// copy of every fast path, with no virtual call per metadata access.
+#[derive(Debug)]
+pub enum Heap {
+    /// [`AllocatorKind::DdMalloc`].
+    DdMalloc(DdMalloc),
+    /// [`AllocatorKind::Region`].
+    Region(RegionAlloc),
+    /// [`AllocatorKind::Obstack`].
+    Obstack(ObstackAlloc),
+    /// [`AllocatorKind::PhpDefault`].
+    PhpDefault(PhpDefaultAlloc),
+    /// [`AllocatorKind::Dl`].
+    Dl(DlAlloc),
+    /// [`AllocatorKind::Hoard`], boxed like `TcMalloc`.
+    Hoard(Box<HoardAlloc>),
+    /// [`AllocatorKind::TcMalloc`], boxed: the Ruby-study baselines carry
+    /// inline per-class tables that would otherwise set every heap's size.
+    TcMalloc(Box<TcAlloc>),
+    /// [`AllocatorKind::Reaps`].
+    Reaps(ReapAlloc),
+}
+
+/// Runs `$body` with `$a` bound to the concrete allocator inside `$heap`.
+macro_rules! dispatch {
+    ($heap:expr, $a:ident => $body:expr) => {
+        match $heap {
+            Heap::DdMalloc($a) => $body,
+            Heap::Region($a) => $body,
+            Heap::Obstack($a) => $body,
+            Heap::PhpDefault($a) => $body,
+            Heap::Dl($a) => $body,
+            Heap::Hoard($a) => $body,
+            Heap::TcMalloc($a) => $body,
+            Heap::Reaps($a) => $body,
+        }
+    };
+}
+
+impl HeapTelemetry for Heap {
+    fn heap_snapshot(&self) -> HeapSnapshot {
+        dispatch!(self, a => a.heap_snapshot())
+    }
+}
+
+impl Allocator for Heap {
+    fn name(&self) -> &'static str {
+        dispatch!(self, a => a.name())
+    }
+
+    fn alloc_traits(&self) -> AllocTraits {
+        dispatch!(self, a => a.alloc_traits())
+    }
+
+    fn code_spec(&self) -> CodeSpec {
+        dispatch!(self, a => a.code_spec())
+    }
+
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
+        dispatch!(self, a => a.malloc(port, size))
+    }
+
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
+        dispatch!(self, a => a.free(port, addr))
+    }
+
+    fn realloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        addr: Addr,
+        old_size: u64,
+        new_size: u64,
+    ) -> Result<Addr, AllocError> {
+        dispatch!(self, a => a.realloc(port, addr, old_size, new_size))
+    }
+
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
+        dispatch!(self, a => a.free_all(port))
+    }
+
+    fn footprint(&self) -> Footprint {
+        dispatch!(self, a => a.footprint())
+    }
+
+    fn stats(&self) -> OpStats {
+        dispatch!(self, a => a.stats())
     }
 }
 

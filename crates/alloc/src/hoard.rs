@@ -127,7 +127,7 @@ impl HoardAlloc {
         8 << class
     }
 
-    fn layout(&mut self, port: &mut dyn MemoryPort) -> Layout {
+    fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
         if let Some(l) = self.layout {
             return l;
         }
@@ -142,7 +142,7 @@ impl HoardAlloc {
 
     /// Unlinks superblock `sb` from the doubly-linked list whose head cell
     /// is at `head_addr`.
-    fn sb_unlink(&self, port: &mut dyn MemoryPort, head_addr: Addr, sb: Addr) {
+    fn sb_unlink<P: MemoryPort + ?Sized>(&self, port: &mut P, head_addr: Addr, sb: Addr) {
         let next = port.load_u64(sb + H_NEXT);
         let prev = port.load_u64(sb + H_PREV);
         if prev != 0 {
@@ -157,7 +157,7 @@ impl HoardAlloc {
     }
 
     /// Pushes superblock `sb` at the head of the list at `head_addr`.
-    fn sb_push(&self, port: &mut dyn MemoryPort, head_addr: Addr, sb: Addr) {
+    fn sb_push<P: MemoryPort + ?Sized>(&self, port: &mut P, head_addr: Addr, sb: Addr) {
         let head = port.load_u64(head_addr);
         port.store_u64(sb + H_NEXT, head);
         port.store_u64(sb + H_PREV, 0);
@@ -168,9 +168,9 @@ impl HoardAlloc {
         port.exec(8);
     }
 
-    fn acquire_superblock(
+    fn acquire_superblock<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         class: usize,
     ) -> Result<Addr, AllocError> {
@@ -257,7 +257,11 @@ impl Allocator for HoardAlloc {
         CodeSpec::new(26 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -319,7 +323,7 @@ impl Allocator for HoardAlloc {
         result
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         if self.large.contains(addr) {
@@ -369,9 +373,9 @@ impl Allocator for HoardAlloc {
         exit_mm(port);
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -415,7 +419,7 @@ impl Allocator for HoardAlloc {
     ///
     /// Always panics: Hoard has no bulk-free interface (§4.4 — the Ruby
     /// runtime restarts processes instead).
-    fn free_all(&mut self, _port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, _port: &mut P) {
         panic!("Hoard does not support freeAll; restart the process instead");
     }
 

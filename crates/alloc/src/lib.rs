@@ -18,18 +18,25 @@
 //! | [`TcAlloc`] | TCmalloc baseline with *delayed* defragmentation | — |
 //! | [`ReapAlloc`] | Reaps (§6): region bulk-free + Lea-style per-object free | — |
 //!
-//! All implement the [`Allocator`] trait; [`AllocatorKind`] is the factory.
+//! All implement the [`Allocator`] trait, whose methods are generic over the
+//! [`MemoryPort`](webmm_sim::MemoryPort) they run against.
+//! [`AllocatorKind`] is the factory: [`AllocatorKind::build`] returns a
+//! [`Heap`], a closed enum over the eight allocators that implements
+//! [`Allocator`] by `match`. Each caller's port type gets its own
+//! monomorphized copy of every allocator, so no metadata access pays a
+//! virtual call; a `&mut dyn MemoryPort` still works, as the `?Sized`
+//! instantiation.
 //!
 //! ## Example
 //!
 //! ```
-//! use webmm_alloc::{Allocator, AllocatorKind};
-//! use webmm_sim::PlainPort;
+//! use webmm_alloc::{Allocator, AllocatorKind, Heap};
+//! use webmm_sim::{MemoryPort, PlainPort};
 //!
 //! let mut port = PlainPort::new();
-//! let mut dd = AllocatorKind::DdMalloc.build(0);
-//! let obj = dd.malloc(&mut port, 100)?;
-//! dd.free(&mut port, obj);
+//! let mut dd: Heap = AllocatorKind::DdMalloc.build(0);
+//! let obj = dd.malloc(&mut port, 100)?; // DdMalloc's code for PlainPort
+//! dd.free(&mut port as &mut dyn MemoryPort, obj); // the `?Sized` copy
 //! dd.free_all(&mut port); // end of transaction
 //! # Ok::<(), webmm_alloc::AllocError>(())
 //! ```
@@ -52,7 +59,7 @@ mod tcmalloc;
 pub use api::{AllocError, AllocTraits, Allocator, BandwidthClass, CostClass, Footprint, OpStats};
 pub use ddmalloc::{ClassMapping, DdConfig, DdMalloc, SizeClasses};
 pub use dl::{DlAlloc, DlConfig};
-pub use factory::AllocatorKind;
+pub use factory::{AllocatorKind, Heap};
 pub use hoard::{HoardAlloc, HoardConfig};
 pub use obstack::{ObstackAlloc, ObstackConfig};
 pub use php_default::{PhpConfig, PhpDefaultAlloc};

@@ -74,7 +74,7 @@ impl ObstackAlloc {
         }
     }
 
-    fn init(&mut self, port: &mut dyn MemoryPort) -> Addr {
+    fn init<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Addr {
         if let Some(c) = self.cursor_addr {
             return c;
         }
@@ -86,7 +86,7 @@ impl ObstackAlloc {
         cursor_addr
     }
 
-    fn new_chunk(&mut self, port: &mut dyn MemoryPort, prev: Addr) -> Addr {
+    fn new_chunk<P: MemoryPort + ?Sized>(&mut self, port: &mut P, prev: Addr) -> Addr {
         let chunk = port.os_alloc(self.config.chunk_bytes, 4096, PageSize::Base);
         // Chunk header: previous-chunk link and limit, as glibc obstacks do.
         port.store_u64(chunk, prev.raw());
@@ -138,7 +138,11 @@ impl Allocator for ObstackAlloc {
         CodeSpec::new(3 * 1024, 1536)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -187,13 +191,13 @@ impl Allocator for ObstackAlloc {
         Ok(obj)
     }
 
-    fn free(&mut self, _port: &mut dyn MemoryPort, _addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, _port: &mut P, _addr: Addr) {
         self.stats.frees += 1; // no-op: obstacks free by rewinding only
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -216,7 +220,7 @@ impl Allocator for ObstackAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);

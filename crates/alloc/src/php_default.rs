@@ -107,7 +107,11 @@ impl Allocator for PhpDefaultAlloc {
         CodeSpec::new(28 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -122,7 +126,7 @@ impl Allocator for PhpDefaultAlloc {
         r
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.free(port, addr);
@@ -130,9 +134,9 @@ impl Allocator for PhpDefaultAlloc {
         exit_mm(port);
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -161,7 +165,7 @@ impl Allocator for PhpDefaultAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
@@ -326,7 +330,7 @@ mod tests {
     fn defrag_makes_ops_costlier_than_ddmalloc() {
         // The paper's core cost claim, checked at the instruction level.
         use crate::ddmalloc::{DdConfig, DdMalloc};
-        let measure = |alloc: &mut dyn Allocator| {
+        fn measure(alloc: &mut impl Allocator) -> u64 {
             let mut port = PlainPort::new();
             // Warm up, then measure a steady-state malloc/free churn.
             let mut objs: Vec<_> = (0..64)
@@ -339,7 +343,7 @@ mod tests {
                 objs.push(alloc.malloc(&mut port, 64).unwrap());
             }
             port.instructions() - start
-        };
+        }
         let php_cost = measure(&mut php());
         let dd_cost = measure(&mut DdMalloc::new(DdConfig::default()));
         assert!(

@@ -106,7 +106,11 @@ impl Allocator for ReapAlloc {
         CodeSpec::new(26 * 1024, 5 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -121,7 +125,7 @@ impl Allocator for ReapAlloc {
         r
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.free(port, addr);
@@ -129,9 +133,9 @@ impl Allocator for ReapAlloc {
         exit_mm(port);
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         _old_size: u64,
         new_size: u64,
@@ -160,7 +164,7 @@ impl Allocator for ReapAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
@@ -214,7 +218,7 @@ mod tests {
     fn pays_defrag_cost_unlike_ddmalloc() {
         // The paper's §6 point, measured: Reaps' per-object free costs
         // Lea-allocator instructions even though it also has freeAll.
-        let measure = |alloc: &mut dyn Allocator| {
+        fn measure(alloc: &mut impl Allocator) -> u64 {
             let mut port = PlainPort::new();
             let mut objs: Vec<_> = (0..64)
                 .map(|_| alloc.malloc(&mut port, 64).unwrap())
@@ -226,7 +230,7 @@ mod tests {
                 objs.push(alloc.malloc(&mut port, 64).unwrap());
             }
             port.instructions() - start
-        };
+        }
         let reap_cost = measure(&mut reap());
         let dd_cost = measure(&mut DdMalloc::new(DdConfig::default()));
         assert!(

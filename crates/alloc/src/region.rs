@@ -109,7 +109,7 @@ impl RegionAlloc {
         }
     }
 
-    fn init(&mut self, port: &mut dyn MemoryPort) -> Addr {
+    fn init<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Addr {
         if let Some(c) = self.cursor_addr {
             return c;
         }
@@ -169,7 +169,11 @@ impl Allocator for RegionAlloc {
         CodeSpec::new(2 * 1024, 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -221,15 +225,15 @@ impl Allocator for RegionAlloc {
         Ok(obj)
     }
 
-    fn free(&mut self, _port: &mut dyn MemoryPort, _addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, _port: &mut P, _addr: Addr) {
         // No per-object free. The porting recipe removes the calls; if one
         // arrives anyway it is a semantic no-op, like apr_pool free.
         self.stats.frees += 1;
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -253,7 +257,7 @@ impl Allocator for RegionAlloc {
         Ok(new)
     }
 
-    fn free_all(&mut self, port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);

@@ -136,7 +136,7 @@ impl TcAlloc {
         }
     }
 
-    fn layout(&mut self, port: &mut dyn MemoryPort) -> Layout {
+    fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
         if let Some(l) = self.layout {
             return l;
         }
@@ -160,9 +160,9 @@ impl TcAlloc {
 
     /// Refills the thread cache with up to `BATCH` objects from the central
     /// list / span carver, returning one object for immediate use.
-    fn refill(
+    fn refill<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         l: &Layout,
         class: usize,
     ) -> Result<Addr, AllocError> {
@@ -242,7 +242,12 @@ impl TcAlloc {
 
     /// The delayed defragmentation: migrate half the thread-cache list back
     /// to the central list once it exceeds the release threshold.
-    fn release_to_central(&mut self, port: &mut dyn MemoryPort, l: &Layout, class: usize) {
+    fn release_to_central<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        l: &Layout,
+        class: usize,
+    ) {
         let tc_head_addr = l.tc_head + class as u64 * 8;
         let tc_len_addr = l.tc_len + class as u64 * 8;
         let central_addr = l.central + class as u64 * 8;
@@ -267,7 +272,7 @@ impl TcAlloc {
     }
 
     /// Span index and class for a small-object address.
-    fn span_class(&self, port: &mut dyn MemoryPort, l: &Layout, addr: Addr) -> usize {
+    fn span_class<P: MemoryPort + ?Sized>(&self, port: &mut P, l: &Layout, addr: Addr) -> usize {
         let idx = (addr - l.span_base) / SPAN_BYTES;
         let tag = port.load_u8(l.span_map + idx);
         debug_assert!(tag > 0, "free of address in an unused span");
@@ -333,7 +338,11 @@ impl Allocator for TcAlloc {
         CodeSpec::new(30 * 1024, 4 * 1024)
     }
 
-    fn malloc(&mut self, port: &mut dyn MemoryPort, size: u64) -> Result<Addr, AllocError> {
+    fn malloc<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        size: u64,
+    ) -> Result<Addr, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidRequest { requested: 0 });
         }
@@ -382,7 +391,7 @@ impl Allocator for TcAlloc {
         result
     }
 
-    fn free(&mut self, port: &mut dyn MemoryPort, addr: Addr) {
+    fn free<P: MemoryPort + ?Sized>(&mut self, port: &mut P, addr: Addr) {
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         if self.page_heap.contains(addr) {
@@ -412,9 +421,9 @@ impl Allocator for TcAlloc {
         exit_mm(port);
     }
 
-    fn realloc(
+    fn realloc<P: MemoryPort + ?Sized>(
         &mut self,
-        port: &mut dyn MemoryPort,
+        port: &mut P,
         addr: Addr,
         old_size: u64,
         new_size: u64,
@@ -452,7 +461,7 @@ impl Allocator for TcAlloc {
     ///
     /// Always panics: TCmalloc has no bulk-free interface (§4.4 — the Ruby
     /// runtime restarts processes instead).
-    fn free_all(&mut self, _port: &mut dyn MemoryPort) {
+    fn free_all<P: MemoryPort + ?Sized>(&mut self, _port: &mut P) {
         panic!("TCmalloc does not support freeAll; restart the process instead");
     }
 

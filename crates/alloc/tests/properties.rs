@@ -11,7 +11,7 @@
 //!   from a clean state.
 
 use proptest::prelude::*;
-use webmm_alloc::AllocatorKind;
+use webmm_alloc::{Allocator, AllocatorKind};
 use webmm_sim::{Addr, MemoryPort, PlainPort};
 
 /// One step of a random allocation script.

@@ -3,7 +3,8 @@
 //! The serving harness (`webmm-server`) moves one freshly built heap into
 //! each OS worker thread — the paper's process-per-worker model. That
 //! handoff is only sound if every concrete allocator (and the functional
-//! memory port it drives) is `Send`. These tests turn that assumption into
+//! memory port it drives) is `Send`. [`Heap`] holds every concrete
+//! allocator as one of its variants, so `Heap: Send` covers them all. These tests turn that assumption into
 //! a compile-time contract: if an allocator ever grows `Rc`, `RefCell` or
 //! raw-pointer state, this file stops compiling rather than the server
 //! becoming subtly unsound.
@@ -12,32 +13,17 @@
 //! single-threaded by design ("one heap, one thread" on
 //! [`AllocatorKind`]); only ownership transfer is supported, not sharing.
 
-use webmm_alloc::{
-    AllocatorKind, DdMalloc, DlAlloc, HoardAlloc, ObstackAlloc, PhpDefaultAlloc, ReapAlloc,
-    RegionAlloc, TcAlloc,
-};
+use webmm_alloc::{Allocator, AllocatorKind, Heap};
 use webmm_sim::PlainPort;
 
 fn assert_send<T: Send>() {}
 
 #[test]
-fn every_concrete_allocator_is_send() {
-    assert_send::<DdMalloc>();
-    assert_send::<PhpDefaultAlloc>();
-    assert_send::<RegionAlloc>();
-    assert_send::<ObstackAlloc>();
-    assert_send::<DlAlloc>();
-    assert_send::<HoardAlloc>();
-    assert_send::<TcAlloc>();
-    assert_send::<ReapAlloc>();
-}
-
-#[test]
 fn worker_side_state_is_send() {
     // The full per-worker bundle the server moves across a spawn: the
-    // functional port, the boxed heap, and the kind tag itself.
+    // functional port, the heap, and the kind tag itself.
     assert_send::<PlainPort>();
-    assert_send::<Box<dyn webmm_alloc::Allocator + Send>>();
+    assert_send::<Heap>();
     assert_send::<AllocatorKind>();
 }
 
@@ -49,7 +35,7 @@ fn built_heaps_cross_a_real_spawn_boundary() {
     let handles: Vec<_> = AllocatorKind::ALL
         .into_iter()
         .map(|kind| {
-            let mut heap = kind.build_send(7);
+            let mut heap = kind.build(7);
             std::thread::spawn(move || {
                 let mut port = PlainPort::new();
                 let a = heap

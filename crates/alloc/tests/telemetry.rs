@@ -1,14 +1,14 @@
 //! Cross-family `HeapTelemetry` sanity checks.
 //!
 //! Every [`Allocator`] carries the [`webmm_obs::HeapTelemetry`] supertrait,
-//! so a `Box<dyn Allocator>` answers `heap_snapshot()` without knowing the
-//! family. These tests drive each of the eight families through the same
+//! so a [`Heap`](webmm_alloc::Heap) answers `heap_snapshot()` whatever
+//! the family. These tests drive each of the eight families through the same
 //! malloc/free/freeAll script and assert the snapshot invariants the
 //! sampler relies on: mirrors answer from Rust-side state only (no port
 //! access, hence zero simulated instructions), live/free occupancy moves
 //! with the workload, and freeAll cost accumulates for bulk-free families.
 
-use webmm_alloc::AllocatorKind;
+use webmm_alloc::{Allocator, AllocatorKind, HeapTelemetry};
 use webmm_sim::PlainPort;
 
 /// A lazily-created allocator has an all-zero heap snapshot.

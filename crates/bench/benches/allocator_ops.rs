@@ -5,7 +5,7 @@
 //! that drive the paper reproduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use webmm_alloc::AllocatorKind;
+use webmm_alloc::{Allocator, AllocatorKind};
 use webmm_sim::PlainPort;
 
 fn bench_malloc_free_churn(c: &mut Criterion) {

@@ -16,7 +16,7 @@
 //!     [--out BENCH_obs_footprint.json]
 //! ```
 
-use webmm_alloc::AllocatorKind;
+use webmm_alloc::{Allocator, AllocatorKind, HeapTelemetry};
 use webmm_obs::HeapSnapshot;
 use webmm_profiler::report::{bytes, heading, table};
 use webmm_sim::{Addr, PlainPort};

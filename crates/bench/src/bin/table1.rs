@@ -2,7 +2,7 @@
 //! transaction-scoped objects, printed from each allocator's
 //! programmatic self-description.
 
-use webmm_alloc::AllocatorKind;
+use webmm_alloc::{Allocator, AllocatorKind};
 use webmm_profiler::report::{heading, table};
 
 fn main() {

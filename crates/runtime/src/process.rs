@@ -9,7 +9,7 @@
 //! through the shared memory hierarchy.
 
 use std::collections::HashMap;
-use webmm_alloc::{Allocator, AllocatorKind, DdConfig, DdMalloc, Footprint};
+use webmm_alloc::{Allocator, AllocatorKind, DdConfig, Footprint, Heap};
 use webmm_sim::{
     Addr, Category, CodeRegionId, CodeSpec, ContextPort, MemHierarchy, MemoryPort, ProcessMem,
 };
@@ -67,10 +67,10 @@ impl AllocatorSpec {
     }
 
     /// Builds an allocator instance for process `pid`.
-    pub fn build(&self, pid: u32) -> Box<dyn Allocator> {
+    pub fn build(&self, pid: u32) -> Heap {
         match (self.kind, &self.dd_override) {
             (AllocatorKind::DdMalloc, Some(cfg)) => {
-                Box::new(DdMalloc::new(DdConfig { pid, ..*cfg }))
+                AllocatorKind::build_dd(DdConfig { pid, ..*cfg })
             }
             (kind, _) => kind.build(pid),
         }
@@ -80,7 +80,7 @@ impl AllocatorSpec {
 /// One simulated runtime process.
 pub struct Process {
     mem: ProcessMem,
-    alloc: Box<dyn Allocator>,
+    alloc: Heap,
     alloc_spec: AllocatorSpec,
     stream: TxStream,
     objects: HashMap<u64, (Addr, u64)>,

@@ -2,8 +2,13 @@
 //!
 //! Each worker mirrors a PHP worker process from the paper's serving model
 //! (§2.1): it owns a private [`PlainPort`] address space and a private
-//! allocator built in-place from the `Copy + Send` [`AllocatorKind`] tag,
-//! and replays whole transactions against them. At every transaction
+//! [`Heap`] built in-place from the `Copy + Send` [`AllocatorKind`] tag,
+//! and replays whole transactions against them. Every heap call is
+//! statically dispatched: one `match` on the allocator kind, then the
+//! allocator's code monomorphized for `PlainPort`, with the port's loads,
+//! stores and instruction charges inlined into it. Natively, an
+//! allocator's fast path thus costs roughly what its simulated metadata
+//! work costs, not that work plus a virtual call per access. At every transaction
 //! boundary the heap is returned to empty — by `freeAll` where the
 //! allocator supports bulk free (the paper's porting recipe), by
 //! per-object frees of the survivors otherwise — so transactions never
@@ -23,7 +28,7 @@ use crate::telemetry::{ServerTelemetry, WorkerMetrics};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use webmm_alloc::{Allocator, AllocatorKind};
+use webmm_alloc::{Allocator, AllocatorKind, Heap, HeapTelemetry};
 use webmm_obs::{LatencyHistogram, TxSpan};
 use webmm_sim::{Addr, MemoryPort, PageSize, PlainPort};
 use webmm_workload::{ObjectTable, WorkOp};
@@ -65,7 +70,7 @@ pub struct WorkerReport {
 /// deliberate: only the `Copy + Send` kind tag crosses the spawn
 /// boundary, the heap itself is born on the thread that will use it.
 pub struct TxExecutor {
-    heap: Box<dyn Allocator + Send>,
+    heap: Heap,
     port: PlainPort,
     /// Live objects: workload id → (address, current size). Ids are
     /// handed out by the load generator's monotonic counter, so the
@@ -86,7 +91,7 @@ impl TxExecutor {
         let mut port = PlainPort::new();
         let static_base = port.os_alloc(static_bytes.max(4096), 4096, PageSize::Base);
         TxExecutor {
-            heap: kind.build_send(worker as u32),
+            heap: kind.build(worker as u32),
             port,
             objects: ObjectTable::with_capacity(1024),
             static_base,
@@ -113,9 +118,9 @@ impl TxExecutor {
         self.port.instructions()
     }
 
-    /// Cumulative bytes requested from the heap.
-    pub fn bytes_requested(&self) -> u64 {
-        self.heap.stats().bytes_requested
+    /// This executor's heap (for its stats, footprint and snapshot).
+    pub fn heap(&self) -> &Heap {
+        &self.heap
     }
 
     /// Replays one transaction's operations against this worker's heap.

@@ -180,6 +180,7 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if the access crosses a 4 KB frame boundary.
+    #[inline]
     pub fn read_u64(&self, addr: Addr) -> u64 {
         assert!(
             addr.raw() % FRAME <= FRAME - 8,
@@ -197,6 +198,7 @@ impl SimMemory {
     ///
     /// Panics if the access crosses a 4 KB frame boundary or leaves the
     /// reservation window.
+    #[inline]
     pub fn write_u64(&mut self, addr: Addr, val: u64) {
         assert!(
             addr.raw() % FRAME <= FRAME - 8,
@@ -207,6 +209,7 @@ impl SimMemory {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&self, addr: Addr) -> u8 {
         let off = (addr.raw() % FRAME) as usize;
         self.frame(addr.raw()).map_or(0, |f| f[off])
@@ -217,6 +220,7 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if `addr` is outside the reservation window.
+    #[inline]
     pub fn write_u8(&mut self, addr: Addr, val: u8) {
         let off = (addr.raw() % FRAME) as usize;
         self.frame_mut(addr.raw(), 1)[off] = val;
@@ -227,6 +231,7 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if the access crosses a 4 KB frame boundary.
+    #[inline]
     pub fn read_u32(&self, addr: Addr) -> u32 {
         assert!(
             addr.raw() % FRAME <= FRAME - 4,
@@ -244,6 +249,7 @@ impl SimMemory {
     ///
     /// Panics if the access crosses a 4 KB frame boundary or leaves the
     /// reservation window.
+    #[inline]
     pub fn write_u32(&mut self, addr: Addr, val: u32) {
         assert!(
             addr.raw() % FRAME <= FRAME - 4,

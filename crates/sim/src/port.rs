@@ -362,36 +362,43 @@ impl MemoryPort for PlainPort {
         addr
     }
 
+    #[inline]
     fn load_u64(&mut self, addr: Addr) -> u64 {
         self.instructions += 1;
         self.mem.read_u64(addr)
     }
 
+    #[inline]
     fn store_u64(&mut self, addr: Addr, val: u64) {
         self.instructions += 1;
         self.mem.write_u64(addr, val);
     }
 
+    #[inline]
     fn load_u32(&mut self, addr: Addr) -> u32 {
         self.instructions += 1;
         self.mem.read_u32(addr)
     }
 
+    #[inline]
     fn store_u32(&mut self, addr: Addr, val: u32) {
         self.instructions += 1;
         self.mem.write_u32(addr, val);
     }
 
+    #[inline]
     fn load_u8(&mut self, addr: Addr) -> u8 {
         self.instructions += 1;
         self.mem.read_u8(addr)
     }
 
+    #[inline]
     fn store_u8(&mut self, addr: Addr, val: u8) {
         self.instructions += 1;
         self.mem.write_u8(addr, val);
     }
 
+    #[inline]
     fn touch(&mut self, addr: Addr, len: u64, _write: bool) {
         if len == 0 {
             return;
@@ -405,14 +412,17 @@ impl MemoryPort for PlainPort {
         self.mem.copy(dst, src, len);
     }
 
+    #[inline]
     fn exec(&mut self, n_instr: u64) {
         self.instructions += n_instr;
     }
 
+    #[inline]
     fn set_category(&mut self, cat: Category) {
         self.cat = cat;
     }
 
+    #[inline]
     fn category(&self) -> Category {
         self.cat
     }
@@ -426,6 +436,7 @@ impl MemoryPort for PlainPort {
         self.code.register(shared_text_base(key), spec)
     }
 
+    #[inline]
     fn set_code_region(&mut self, id: CodeRegionId) {
         self.code.set_current(id);
     }

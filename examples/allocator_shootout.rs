@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example allocator_shootout [workload]`
 //! where `workload` is a Table 2 name (default: "phpBB").
 
-use webmm::alloc::AllocatorKind;
+use webmm::alloc::{Allocator, AllocatorKind};
 use webmm::runtime::{run, RunConfig};
 use webmm::sim::MachineConfig;
 use webmm::workload::by_name;

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use webmm::alloc::AllocatorKind;
+use webmm::alloc::{Allocator, AllocatorKind};
 use webmm::sim::MemoryPort;
 use webmm::sim::{Category, ContextPort, MachineConfig, MemHierarchy, ProcessMem};
 

@@ -2,7 +2,7 @@
 //! the workload→runtime→profiler pipeline, determinism, and the Table 1
 //! taxonomy driving runtime behaviour.
 
-use webmm::alloc::AllocatorKind;
+use webmm::alloc::{Allocator, AllocatorKind};
 use webmm::profiler::report;
 use webmm::runtime::{run, RunConfig};
 use webmm::sim::{MachineConfig, PlainPort};
