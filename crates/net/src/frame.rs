@@ -5,19 +5,27 @@
 //! type tag. Requests carry a client-assigned `request_id` that the
 //! server echoes in the response, so a client can detect desync after a
 //! timeout or reconnect. Transaction payloads travel either as an
-//! explicit [`WorkOp`] sequence (fixed-width binary encoding, one tag
-//! byte plus LE fields per op) or as a compact `Count` body the server
-//! expands itself — the cheap way to generate pure admission-control
-//! load without shipping op streams.
+//! explicit [`WorkOp`] sequence (one tag byte plus 0, 1 or 2 LE `u64`
+//! fields per op, so a record is 1, 9, 10 or 17 bytes) or as a compact
+//! `Count` body the server expands itself — the cheap way to generate
+//! pure admission-control load without shipping op streams.
 //!
 //! Decoding is **incremental and total**: [`Decoder::decode`] looks at
 //! the front of a byte buffer and returns `Ok(None)` ("need more
 //! bytes"), `Ok(Some((frame, consumed)))`, or a typed [`FrameError`] —
 //! never a panic, whatever the bytes. A complete body that runs out of
-//! bytes mid-field is *corrupt* (the length prefix delimits it), which
-//! is how truncation inside a frame is told apart from a partial read.
-//! Op counts are validated against the body length before any buffer is
-//! sized, so a hostile length field cannot force an allocation.
+//! bytes mid-field or mid-op is *corrupt* (the length prefix delimits
+//! it), which is how truncation inside a frame is told apart from a
+//! partial read. Op counts are validated against the body length before
+//! any buffer is sized, so a hostile length field cannot force an
+//! allocation.
+//!
+//! The op list is the bulk of every `Submit` (a phpBB transaction is
+//! about 1,350 ops) and both ends of a tcp round trip walk it, so it is
+//! **table-driven**: decoding an op is one lookup of its record length
+//! by tag, one length check and two loads at fixed offsets; encoding is
+//! two stores into a 17-byte window and an advance by the record
+//! length. Header fields go through a checked field-by-field reader.
 //!
 //! When a [`TxBufferPool`] is attached, decoded op vectors are drawn
 //! from it — the network path joins the same recycled-buffer loop the
@@ -131,7 +139,8 @@ pub enum TxBody {
 impl TxBody {
     /// Total heap bytes this body will request from a worker
     /// (malloc plus realloc sizes) — the quantity the server's
-    /// `max_tx_bytes` limit is checked against.
+    /// `max_tx_bytes` limit is checked against. Saturates at `u64::MAX`,
+    /// so sizes chosen to wrap the sum cannot slip under the limit.
     #[must_use]
     pub fn requested_bytes(&self) -> u64 {
         match self {
@@ -143,7 +152,7 @@ impl TxBody {
                     WorkOp::Realloc { new_size, .. } => new_size,
                     _ => 0,
                 })
-                .sum(),
+                .fold(0, u64::saturating_add),
         }
     }
 }
@@ -197,11 +206,13 @@ pub enum FrameError {
     BadOpTag(u8),
     /// A boolean field held something other than 0 or 1.
     BadBool(u8),
-    /// A complete body ended mid-field — truncation *inside* the
-    /// length-delimited frame, i.e. corruption (a partial read is
-    /// `Ok(None)`, not this).
+    /// A complete body ended mid-field or mid-op — truncation *inside*
+    /// the length-delimited frame, i.e. corruption (a partial read is
+    /// `Ok(None)`, not this). Inside the op list the unit is the whole
+    /// op record: `need` is its wire length (tag included) and `have`
+    /// the bytes left from its tag on.
     Corrupt {
-        /// Bytes the next field needed.
+        /// Bytes the next field or op record needed.
         need: usize,
         /// Bytes that were left.
         have: usize,
@@ -275,9 +286,7 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
                 TxBody::Ops(ops) => {
                     out.push(1);
                     out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                    for op in ops {
-                        encode_op(*op, out);
-                    }
+                    encode_ops(ops, out);
                 }
             }
         }
@@ -294,38 +303,114 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
     out[at..at + HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
 }
 
-fn encode_op(op: WorkOp, out: &mut Vec<u8>) {
+/// Wire length of each op record (tag byte included), indexed by op
+/// tag; 0 marks an unknown tag. Decoding an op costs one lookup here and
+/// one length check against the rest of the body.
+const OP_LEN: [u8; 256] = {
+    let mut t = [0u8; 256];
+    t[OP_MALLOC as usize] = 17;
+    t[OP_FREE as usize] = 9;
+    t[OP_REALLOC as usize] = 17;
+    t[OP_TOUCH as usize] = 10;
+    t[OP_COMPUTE as usize] = 9;
+    t[OP_STATIC_TOUCH as usize] = 17;
+    t[OP_END_TX as usize] = 1;
+    t
+};
+
+/// The longest op record: a tag and two `u64` fields.
+const MAX_OP_LEN: usize = 17;
+
+/// An op as its wire record `(tag, a, b)`: `a` sits at offset 1 and `b`
+/// at offset 9, each as far as the tag's [`OP_LEN`] reaches (`Touch`
+/// keeps only the low byte of `b`, its flag).
+fn op_record(op: WorkOp) -> (u8, u64, u64) {
     match op {
-        WorkOp::Malloc { id, size } => {
-            out.push(OP_MALLOC);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&size.to_le_bytes());
-        }
-        WorkOp::Free { id } => {
-            out.push(OP_FREE);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        WorkOp::Realloc { id, new_size } => {
-            out.push(OP_REALLOC);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&new_size.to_le_bytes());
-        }
-        WorkOp::Touch { id, write } => {
-            out.push(OP_TOUCH);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.push(u8::from(write));
-        }
-        WorkOp::Compute { instr } => {
-            out.push(OP_COMPUTE);
-            out.extend_from_slice(&instr.to_le_bytes());
-        }
-        WorkOp::StaticTouch { offset, len } => {
-            out.push(OP_STATIC_TOUCH);
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        WorkOp::EndTx => out.push(OP_END_TX),
+        WorkOp::Malloc { id, size } => (OP_MALLOC, id, size),
+        WorkOp::Free { id } => (OP_FREE, id, 0),
+        WorkOp::Realloc { id, new_size } => (OP_REALLOC, id, new_size),
+        WorkOp::Touch { id, write } => (OP_TOUCH, id, u64::from(write)),
+        WorkOp::Compute { instr } => (OP_COMPUTE, instr, 0),
+        WorkOp::StaticTouch { offset, len } => (OP_STATIC_TOUCH, offset, len),
+        WorkOp::EndTx => (OP_END_TX, 0, 0),
     }
+}
+
+/// Appends the op records of `ops`. The worst case is reserved once;
+/// each op is stored whole into a 17-byte window and the cursor advances
+/// by its record length, so the next op overwrites the unused tail and
+/// one truncation at the end drops the last one's.
+fn encode_ops(ops: &[WorkOp], out: &mut Vec<u8>) {
+    let mut at = out.len();
+    out.resize(at + MAX_OP_LEN * ops.len(), 0);
+    for &op in ops {
+        let (tag, a, b) = op_record(op);
+        let w = &mut out[at..at + MAX_OP_LEN];
+        w[0] = tag;
+        w[1..9].copy_from_slice(&a.to_le_bytes());
+        w[9..17].copy_from_slice(&b.to_le_bytes());
+        at += usize::from(OP_LEN[usize::from(tag)]);
+    }
+    out.truncate(at);
+}
+
+/// Decodes `count` op records from the front of `body` into `ops` and
+/// returns the bytes they took. Per op: one [`OP_LEN`] lookup on the
+/// tag, one length check, two fixed-offset `u64` loads and a push.
+fn decode_ops(body: &[u8], count: usize, ops: &mut Vec<WorkOp>) -> Result<usize, FrameError> {
+    let mut rest = body;
+    for _ in 0..count {
+        let Some(&tag) = rest.first() else {
+            return Err(FrameError::Corrupt { need: 1, have: 0 });
+        };
+        let len = usize::from(OP_LEN[usize::from(tag)]);
+        if len == 0 {
+            return Err(FrameError::BadOpTag(tag));
+        }
+        if rest.len() < len {
+            return Err(FrameError::Corrupt {
+                need: len,
+                have: rest.len(),
+            });
+        }
+        // The fields sit at offsets 1 and 9 of a 17-byte window that
+        // starts at the record: the bytes after a short record are read
+        // and ignored. Only the last 16 bytes of a body need a padded
+        // copy to make the window.
+        let pad: [u8; MAX_OP_LEN];
+        let w = if let Some(w) = rest.first_chunk::<MAX_OP_LEN>() {
+            w
+        } else {
+            let mut p = [0u8; MAX_OP_LEN];
+            p[..len].copy_from_slice(&rest[..len]);
+            pad = p;
+            &pad
+        };
+        // The flag byte counts only in a Touch. Testing it as a product,
+        // not with `&&`, leaves one rarely taken branch instead of adding
+        // one that turns on the tag.
+        let flag = u8::from(tag == OP_TOUCH) * w[9];
+        if flag > 1 {
+            return Err(FrameError::BadBool(flag));
+        }
+        let a = u64::from_le_bytes(w[1..9].try_into().expect("8 bytes"));
+        let b = u64::from_le_bytes(w[9..17].try_into().expect("8 bytes"));
+        ops.push(match tag {
+            OP_MALLOC => WorkOp::Malloc { id: a, size: b },
+            OP_FREE => WorkOp::Free { id: a },
+            OP_REALLOC => WorkOp::Realloc { id: a, new_size: b },
+            OP_TOUCH => WorkOp::Touch {
+                id: a,
+                write: w[9] == 1,
+            },
+            OP_COMPUTE => WorkOp::Compute { instr: a },
+            OP_STATIC_TOUCH => WorkOp::StaticTouch { offset: a, len: b },
+            // OP_LEN is nonzero only for the tags above and OP_END_TX.
+            _ => WorkOp::EndTx,
+        });
+        rest = &rest[len..];
+    }
+    Ok(body.len() - rest.len())
 }
 
 /// Bounds-checked reader over one frame body.
@@ -488,9 +573,7 @@ impl Decoder {
                             None => Vec::new(),
                         };
                         ops.reserve(count);
-                        for _ in 0..count {
-                            ops.push(decode_op(body)?);
-                        }
+                        body.at += decode_ops(&body.buf[body.at..], count, &mut ops)?;
                         TxBody::Ops(ops)
                     }
                     t => return Err(FrameError::BadTag(t)),
@@ -512,31 +595,6 @@ impl Decoder {
             TAG_PONG => Ok(Frame::Pong),
             t => Err(FrameError::BadTag(t)),
         }
-    }
-}
-
-fn decode_op(body: &mut Body<'_>) -> Result<WorkOp, FrameError> {
-    match body.u8()? {
-        OP_MALLOC => Ok(WorkOp::Malloc {
-            id: body.u64()?,
-            size: body.u64()?,
-        }),
-        OP_FREE => Ok(WorkOp::Free { id: body.u64()? }),
-        OP_REALLOC => Ok(WorkOp::Realloc {
-            id: body.u64()?,
-            new_size: body.u64()?,
-        }),
-        OP_TOUCH => Ok(WorkOp::Touch {
-            id: body.u64()?,
-            write: body.bool()?,
-        }),
-        OP_COMPUTE => Ok(WorkOp::Compute { instr: body.u64()? }),
-        OP_STATIC_TOUCH => Ok(WorkOp::StaticTouch {
-            offset: body.u64()?,
-            len: body.u64()?,
-        }),
-        OP_END_TX => Ok(WorkOp::EndTx),
-        t => Err(FrameError::BadOpTag(t)),
     }
 }
 
@@ -674,5 +732,128 @@ mod tests {
         ]);
         assert_eq!(body.requested_bytes(), 150);
         assert_eq!(TxBody::Count { ops: 4, size: 32 }.requested_bytes(), 128);
+    }
+
+    #[test]
+    fn requested_bytes_saturates_instead_of_wrapping() {
+        let body = TxBody::Ops(vec![
+            WorkOp::Malloc {
+                id: 1,
+                size: 1 << 63,
+            },
+            WorkOp::Malloc {
+                id: 2,
+                size: 1 << 63,
+            },
+            WorkOp::Realloc { id: 1, new_size: 5 },
+        ]);
+        assert_eq!(body.requested_bytes(), u64::MAX);
+    }
+
+    /// Wire offset of the op count in a `Submit` without affinity:
+    /// header, frame tag, request id, affinity flag, body kind.
+    const COUNT_AT: usize = HEADER_LEN + 1 + 8 + 1 + 1;
+
+    /// The wire encoding of a `Submit` carrying `ops`, no affinity.
+    fn submit_wire(ops: &[WorkOp]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        encode(
+            &Frame::Submit {
+                request_id: 9,
+                affinity: None,
+                body: TxBody::Ops(ops.to_vec()),
+            },
+            &mut wire,
+        );
+        wire
+    }
+
+    /// Rewrites the length prefix to match the bytes after it.
+    fn fix_len(wire: &mut [u8]) {
+        let len = (wire.len() - HEADER_LEN) as u32;
+        wire[..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    }
+
+    const MALLOC: WorkOp = WorkOp::Malloc { id: 3, size: 48 };
+
+    fn every_op_kind() -> [WorkOp; 7] {
+        [
+            MALLOC,
+            WorkOp::Free { id: 3 },
+            WorkOp::Realloc {
+                id: 3,
+                new_size: 96,
+            },
+            WorkOp::Touch { id: 3, write: true },
+            WorkOp::Compute { instr: 77 },
+            WorkOp::StaticTouch { offset: 8, len: 8 },
+            WorkOp::EndTx,
+        ]
+    }
+
+    #[test]
+    fn unknown_tag_as_the_last_op_is_bad_op_tag() {
+        for bad in [7u8, 0x80, 0xFF] {
+            let mut wire = submit_wire(&[MALLOC, WorkOp::EndTx]);
+            *wire.last_mut().expect("EndTx tag") = bad;
+            assert_eq!(Decoder::new().decode(&wire), Err(FrameError::BadOpTag(bad)));
+        }
+    }
+
+    #[test]
+    fn bad_bool_in_a_touch_is_rejected_last_or_not() {
+        let touch = WorkOp::Touch { id: 3, write: true };
+        // Final op (the padded tail of the body), then an op with a full
+        // 17-byte window behind it.
+        let last = submit_wire(&[MALLOC, touch]);
+        let flag_of_last = last.len() - 1;
+        let first = submit_wire(&[touch, MALLOC]);
+        let flag_of_first = COUNT_AT + 4 + 9;
+        for (mut wire, at) in [(last, flag_of_last), (first, flag_of_first)] {
+            assert_eq!(wire[at], 1, "the flag byte");
+            wire[at] = 2;
+            assert_eq!(Decoder::new().decode(&wire), Err(FrameError::BadBool(2)));
+        }
+    }
+
+    #[test]
+    fn every_cut_inside_the_final_op_is_corrupt() {
+        for last in every_op_kind() {
+            let full = submit_wire(&[MALLOC, last]);
+            let len = full.len() - submit_wire(&[MALLOC]).len();
+            for keep in 0..len {
+                let mut wire = full[..full.len() - len + keep].to_vec();
+                fix_len(&mut wire);
+                let need = if keep == 0 { 1 } else { len };
+                assert_eq!(
+                    Decoder::new().decode(&wire),
+                    Err(FrameError::Corrupt { need, have: keep }),
+                    "{last:?} cut to {keep} of {len} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn op_count_beyond_the_ops_present_is_corrupt() {
+        let mut wire = submit_wire(&[MALLOC, WorkOp::Free { id: 3 }]);
+        wire[COUNT_AT..COUNT_AT + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            Decoder::new().decode(&wire),
+            Err(FrameError::Corrupt { need: 1, have: 0 })
+        );
+    }
+
+    #[test]
+    fn bytes_after_the_last_op_are_trailing() {
+        for extra in [vec![0u8], vec![OP_END_TX; 3], vec![0xFF; 17]] {
+            let mut wire = submit_wire(&every_op_kind());
+            wire.extend_from_slice(&extra);
+            fix_len(&mut wire);
+            assert_eq!(
+                Decoder::new().decode(&wire),
+                Err(FrameError::TrailingBytes { extra: extra.len() })
+            );
+        }
     }
 }

@@ -14,12 +14,15 @@
 //!   counts equal the server's — nothing is lost or invented between
 //!   the socket and the report.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 use webmm_net::{
-    run_client, ClientWorkload, LoadMode, NetClientConfig, NetReport, NetServer, NetServerConfig,
+    encode, run_client, ClientWorkload, Decoder, Frame, LoadMode, NetClientConfig, NetReport,
+    NetServer, NetServerConfig, Status, TxBody,
 };
 use webmm_server::{AdmissionPolicy, ObsConfig, Server, ServerConfig};
-use webmm_workload::phpbb;
+use webmm_workload::{phpbb, WorkOp};
 
 fn start_tier(policy: AdmissionPolicy, capacity: usize) -> NetServer {
     let server = Server::start(ServerConfig {
@@ -191,6 +194,67 @@ fn oversized_transactions_are_refused_not_executed() {
     assert_eq!(report.oversized, 5);
     assert_eq!(report.server.submitted, 0, "nothing may reach the queue");
     assert!(report.reconciles());
+}
+
+#[test]
+fn sizes_that_wrap_the_byte_sum_are_refused_not_executed() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        static_bytes: 1 << 16,
+        ..ServerConfig::default()
+    });
+    let tier =
+        NetServer::bind(server, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
+    // A well-formed frame whose two mallocs sum to 2^64: a wrapping sum
+    // reads 0 bytes, passes the size cap and hands the worker a request
+    // it cannot serve.
+    let mut wire = Vec::new();
+    encode(
+        &Frame::Submit {
+            request_id: 1,
+            affinity: None,
+            body: TxBody::Ops(vec![
+                WorkOp::Malloc {
+                    id: 1,
+                    size: 1 << 63,
+                },
+                WorkOp::Malloc {
+                    id: 2,
+                    size: 1 << 63,
+                },
+                WorkOp::EndTx,
+            ]),
+        },
+        &mut wire,
+    );
+    let mut stream = TcpStream::connect(tier.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(&wire).expect("send the frame");
+    let (mut rbuf, mut chunk) = (Vec::new(), [0u8; 64]);
+    let reply = loop {
+        if let Some((frame, _)) = Decoder::new().decode(&rbuf).expect("well-formed reply") {
+            break frame;
+        }
+        let n = stream.read(&mut chunk).expect("read the reply");
+        assert!(n > 0, "server closed before replying");
+        rbuf.extend_from_slice(&chunk[..n]);
+    };
+    assert_eq!(
+        reply,
+        Frame::Status {
+            request_id: 1,
+            status: Status::TooLarge
+        }
+    );
+    wire.clear();
+    encode(&Frame::Goodbye, &mut wire);
+    stream.write_all(&wire).expect("send goodbye");
+    let report = tier.finish();
+    assert_eq!(report.oversized, 1);
+    assert_eq!(report.server.submitted, 0, "nothing may reach the queue");
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
 }
 
 #[test]
