@@ -16,14 +16,13 @@
 //!     [--policy block|reject|shed-oldest] [--capacity 128] \
 //!     [--batch 32] \
 //!     [--out BENCH_native.json] \
-//!     [--obs-interval 10ms] [--obs-out OBS_native.jsonl] \
-//!     [--trace-in TRACE.jsonl]
+//!     [--obs-interval 10ms] [--obs-out OBS_native.jsonl]
 //! ```
 //!
-//! With `--trace-in`, every cell replays the given JSONL op trace
-//! (e.g. one recorded by `net_shootout --trace-out`) instead of
-//! generating ops, and the transaction count comes from the trace — the
-//! offline half of a network-vs-in-process A/B on identical operations.
+//! The ops are regenerated from `(scale, seed)`, so `net_shootout` with
+//! the same `--scale`, `--seed` and `--tx` ships exactly these
+//! transactions over TCP: the in-process half of a network-vs-in-process
+//! A/B on identical operations.
 //!
 //! Writes every cell of the sweep to `BENCH_native.json` (allocator,
 //! workers, tx_per_sec, steal counters, the host's available
@@ -81,7 +80,6 @@ struct Args {
     out: String,
     obs_interval: Option<Duration>,
     obs_out: Option<String>,
-    trace_in: Option<String>,
 }
 
 /// Parses `10ms`, `1s`, `250us`, `5000ns` (bare numbers: milliseconds).
@@ -121,7 +119,6 @@ fn parse_args() -> Args {
         out: "BENCH_native.json".to_string(),
         obs_interval: None,
         obs_out: None,
-        trace_in: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -160,14 +157,13 @@ fn parse_args() -> Args {
                 }));
             }
             "--obs-out" => args.obs_out = Some(value()),
-            "--trace-in" => args.trace_in = Some(value()),
             other => {
                 eprintln!("unknown flag `{other}`");
                 eprintln!(
                     "usage: native_shootout [--workers N,N,..] [--tx N] [--scale N] [--seed N] \
                      [--policy block|reject|shed-oldest] [--capacity N] \
                      [--batch N] [--out FILE] \
-                     [--obs-interval DUR] [--obs-out FILE] [--trace-in FILE]"
+                     [--obs-interval DUR] [--obs-out FILE]"
                 );
                 std::process::exit(2);
             }
@@ -185,29 +181,14 @@ fn main() {
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1);
-    // A replay trace overrides both the generator and the tx count:
-    // every cell must execute exactly the recorded operations.
-    let trace_ops = args.trace_in.as_ref().map(|path| {
-        let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open --trace-in {path}: {e}");
-            std::process::exit(1);
-        });
-        webmm_workload::trace::read_trace(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-            eprintln!("cannot parse --trace-in {path}: {e}");
-            std::process::exit(1);
-        })
-    });
-    let tx = trace_ops.as_ref().map_or(args.tx, |ops| {
-        webmm_workload::trace::count_transactions(ops)
-    });
-    let source = match &args.trace_in {
-        Some(path) => format!("replaying {path}"),
-        None => format!("phpBB, scale 1/{}", args.scale),
-    };
     print!(
         "{}",
         heading(&format!(
-            "Native shootout: {source}, {tx} tx/cell, policy {}, host parallelism {}",
+            "Native shootout: phpBB, scale 1/{}, seed {}, {} tx/cell, policy {}, \
+             host parallelism {}",
+            args.scale,
+            args.seed,
+            args.tx,
             args.policy.id(),
             parallelism,
         ))
@@ -241,12 +222,9 @@ fn main() {
                 static_bytes: 2 << 20,
                 obs,
             });
-            let factory = match &trace_ops {
-                Some(ops) => TxFactory::from_trace(ops.clone()),
-                None => TxFactory::new(phpbb(), args.scale, args.seed),
-            };
+            let factory = TxFactory::new(phpbb(), args.scale, args.seed);
             let clients = (workers * 2).max(2);
-            drive_closed(&server, factory, tx, clients);
+            drive_closed(&server, factory, args.tx, clients);
             let (report, samples) = server.finish_with_obs();
             assert_eq!(
                 report.completed + report.shed,

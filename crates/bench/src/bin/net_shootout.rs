@@ -16,19 +16,18 @@
 //!     [--workers 4] [--conns 4] [--tx 5000] [--scale 1024] [--seed 42] \
 //!     [--policy block|reject|shed-oldest] [--capacity 128] \
 //!     [--rate TX_PER_SEC] \
-//!     [--out BENCH_net.json] [--trace-out TRACE.jsonl]
+//!     [--out BENCH_net.json]
 //! ```
 //!
 //! Every cell asserts the cross-tier accounting identity (every wire
 //! status reconciles with a queue admission outcome, and
 //! `submitted == completed + shed` behind it). With `--rate` the client
 //! runs open-loop at that aggregate arrival rate; default is closed
-//! loop. `--trace-out` records the exact op stream the clients sent as
-//! a JSONL trace: because all connections draw from one deterministic
-//! generator, regenerating with the same `(spec, scale, seed)` is
-//! byte-identical to what crossed the wire, and `native_shootout
-//! --trace-in` replays it through the in-process harness for an
-//! apples-to-apples offline comparison.
+//! loop. All connections draw from one deterministic generator, so
+//! regenerating with the same `(spec, scale, seed)` is byte-identical to
+//! what crossed the wire: `native_shootout` with the same `--scale`,
+//! `--seed` and `--tx` replays it through the in-process harness for an
+//! apples-to-apples comparison.
 
 use std::time::Instant;
 use webmm_alloc::AllocatorKind;
@@ -37,7 +36,7 @@ use webmm_net::{
 };
 use webmm_profiler::report::{heading, table};
 use webmm_server::{AdmissionPolicy, LatencySummary, Server, ServerConfig};
-use webmm_workload::{phpbb, trace::write_trace, TxStream};
+use webmm_workload::phpbb;
 
 /// One cell of the sweep, as serialized into `BENCH_net.json`.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -74,7 +73,6 @@ struct Args {
     capacity: usize,
     rate: Option<f64>,
     out: String,
-    trace_out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -88,7 +86,6 @@ fn parse_args() -> Args {
         capacity: 128,
         rate: None,
         out: "BENCH_net.json".to_string(),
-        trace_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -105,7 +102,15 @@ fn parse_args() -> Args {
             "--scale" => args.scale = value().parse().expect("--scale takes a divisor"),
             "--seed" => args.seed = value().parse().expect("--seed takes a u64"),
             "--capacity" => args.capacity = value().parse().expect("--capacity takes a count"),
-            "--rate" => args.rate = Some(value().parse().expect("--rate takes tx/sec")),
+            "--rate" => {
+                let v = value();
+                // NaN fails `> 0.0` too.
+                let rate = v.parse().ok().filter(|r: &f64| *r > 0.0);
+                args.rate = Some(rate.unwrap_or_else(|| {
+                    eprintln!("bad --rate `{v}` (a positive tx/sec)");
+                    std::process::exit(2);
+                }));
+            }
             "--policy" => {
                 let v = value();
                 args.policy = AdmissionPolicy::from_id(&v).unwrap_or_else(|| {
@@ -114,13 +119,12 @@ fn parse_args() -> Args {
                 });
             }
             "--out" => args.out = value(),
-            "--trace-out" => args.trace_out = Some(value()),
             other => {
                 eprintln!("unknown flag `{other}`");
                 eprintln!(
                     "usage: net_shootout [--workers N] [--conns N] [--tx N] [--scale N] \
                      [--seed N] [--policy block|reject|shed-oldest] [--capacity N] \
-                     [--rate TX_PER_SEC] [--out FILE] [--trace-out FILE]"
+                     [--rate TX_PER_SEC] [--out FILE]"
                 );
                 std::process::exit(2);
             }
@@ -151,23 +155,6 @@ fn main() {
             parallelism,
         ))
     );
-
-    // Record what the clients will send: one deterministic stream shared
-    // by all connections means the union of sent ops is exactly this
-    // trace, whatever the interleaving across sockets.
-    if let Some(path) = &args.trace_out {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create --trace-out {path}: {e}");
-            std::process::exit(1);
-        });
-        let mut stream = TxStream::new(phpbb(), args.scale, args.seed);
-        write_trace(&mut stream, args.tx, std::io::BufWriter::new(file)).unwrap_or_else(|e| {
-            eprintln!("cannot write --trace-out {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("recorded the {}-tx op stream to {path}", args.tx);
-        println!("replay it offline with: native_shootout --trace-in {path}\n");
-    }
 
     let mut rows = vec![vec![
         "allocator".to_string(),
@@ -267,7 +254,8 @@ fn main() {
     });
     println!("\nwrote {} cells to {}", entries.len(), args.out);
     println!(
-        "compare against the in-process baseline: native_shootout --workers {} --tx {}",
-        args.workers, args.tx
+        "compare against the in-process baseline on the same ops: \
+         native_shootout --workers {} --scale {} --seed {} --tx {}",
+        args.workers, args.scale, args.seed, args.tx
     );
 }

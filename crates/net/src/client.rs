@@ -64,8 +64,9 @@ pub enum ClientWorkload {
     /// Inline op payloads drawn from the deterministic workload
     /// generator — the paper's workload model shipped over the wire.
     /// All connections share one stream, so the union of sent ops is
-    /// exactly the stream's first `requests` transactions and a trace
-    /// regenerated from the same `(spec, scale, seed)` replays the run.
+    /// exactly the stream's first `requests` transactions: a
+    /// [`TxFactory`](webmm_server::TxFactory) built from the same
+    /// `(spec, scale, seed)` regenerates them for an in-process replay.
     Stream {
         /// Workload shape (e.g. `webmm_workload::phpbb()`).
         spec: WorkloadSpec,
@@ -228,7 +229,10 @@ struct SharedLoad {
 ///
 /// # Panics
 ///
-/// Panics if `config.connections` is zero or an internal lock poisons.
+/// Panics if `config.connections` is zero, if an open-loop
+/// `rate_tx_per_sec` is not positive (zero, negative or NaN), or if an
+/// internal lock poisons. Both argument checks run before any
+/// connection is made.
 #[must_use]
 pub fn run_client(
     addr: SocketAddr,
@@ -239,6 +243,9 @@ pub fn run_client(
         config.connections > 0,
         "client needs at least one connection"
     );
+    if let LoadMode::Open { rate_tx_per_sec } = config.mode {
+        assert!(rate_tx_per_sec > 0.0, "open loop needs a positive rate");
+    }
     let shared = SharedLoad {
         next_seq: AtomicU64::new(0),
         stream: match workload {
@@ -512,6 +519,23 @@ mod tests {
         assert_eq!(backoff_delay(31, base, max), max);
         assert_eq!(backoff_delay(32, base, max), max); // shift saturates
         assert_eq!(backoff_delay(u32::MAX, base, max), max);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive rate")]
+    fn open_loop_refuses_a_rate_that_is_not_positive() {
+        // Nothing listens on port 1; the assert fires before any connect.
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let _ = run_client(
+            addr,
+            &ClientWorkload::Count { ops: 1, size: 8 },
+            &NetClientConfig {
+                mode: LoadMode::Open {
+                    rate_tx_per_sec: 0.0,
+                },
+                ..NetClientConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Load generation: turning workload streams into submitted transactions.
 //!
 //! [`TxFactory`] slices a deterministic [`TxStream`] into whole
-//! transactions (everything up to and including `EndTx`). Two driver
+//! transactions (everything up to and including `EndTx`), the same
+//! slicing the network client applies to the ops it ships. Two driver
 //! shapes then push them at a server:
 //!
 //! * **closed loop** ([`drive_closed`]) — a fixed population of client
@@ -19,33 +20,14 @@ use crate::Transaction;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use webmm_workload::trace::TraceReplay;
 use webmm_workload::{TxStream, WorkOp, WorkloadSpec};
 
-/// Where a [`TxFactory`] draws its operations from.
-enum OpSource {
-    /// A live deterministic generator (boxed: a `TxStream` carries its
-    /// size-class tables inline and dwarfs the trace-replay variant).
-    Stream(Box<TxStream>),
-    /// A recorded trace (JSONL, see `webmm_workload::trace`) replayed
-    /// verbatim — how a network run's op stream is re-driven through the
-    /// in-process harness for apples-to-apples comparison.
-    Trace(TraceReplay),
-}
-
-impl OpSource {
-    fn next_op(&mut self) -> WorkOp {
-        match self {
-            OpSource::Stream(s) => s.next_op(),
-            OpSource::Trace(t) => t.next_op(),
-        }
-    }
-}
-
-/// Produces self-contained transactions from a workload stream or a
-/// recorded trace.
+/// Produces self-contained transactions from a deterministic workload
+/// stream. The same `(spec, scale, seed)` always yields the same
+/// transactions, so a factory built with a network client's `(spec,
+/// scale, seed)` replays in-process exactly the ops that client sent.
 pub struct TxFactory {
-    source: OpSource,
+    stream: TxStream,
     next_id: u64,
     /// When attached, op buffers are drawn from the server's recycling
     /// pool instead of freshly allocated — completed transactions feed
@@ -63,20 +45,7 @@ impl TxFactory {
     /// transaction.
     pub fn new(spec: WorkloadSpec, scale: u32, seed: u64) -> Self {
         TxFactory {
-            source: OpSource::Stream(Box::new(TxStream::new(spec, scale, seed))),
-            next_id: 0,
-            pool: None,
-        }
-    }
-
-    /// Replays a recorded op sequence (e.g. one read back with
-    /// `webmm_workload::trace::read_trace`) instead of generating ops.
-    /// Once the recorded ops are exhausted, every further transaction is
-    /// a bare `EndTx` — drive exactly as many transactions as the trace
-    /// holds ([`webmm_workload::trace::count_transactions`]).
-    pub fn from_trace(ops: Vec<WorkOp>) -> Self {
-        TxFactory {
-            source: OpSource::Trace(TraceReplay::new(ops)),
+            stream: TxStream::new(spec, scale, seed),
             next_id: 0,
             pool: None,
         }
@@ -97,7 +66,7 @@ impl TxFactory {
             None => Vec::new(),
         };
         loop {
-            let op = self.source.next_op();
+            let op = self.stream.next_op();
             ops.push(op);
             if op == WorkOp::EndTx {
                 break;
@@ -200,8 +169,22 @@ mod tests {
     fn factory_is_deterministic() {
         let mut a = TxFactory::new(phpbb(), 1024, 42);
         let mut b = TxFactory::new(phpbb(), 1024, 42);
+        // The raw stream, sliced at each `EndTx`, is what the network
+        // client ships for the same `(spec, scale, seed)`: an in-process
+        // run regenerates exactly the ops a networked run sent.
+        let mut raw = TxStream::new(phpbb(), 1024, 42);
         for _ in 0..3 {
-            assert_eq!(a.next_tx().ops, b.next_tx().ops);
+            let tx = a.next_tx().ops;
+            assert_eq!(tx, b.next_tx().ops);
+            let mut sent = Vec::new();
+            loop {
+                let op = raw.next_op();
+                sent.push(op);
+                if op == WorkOp::EndTx {
+                    break;
+                }
+            }
+            assert_eq!(tx, sent);
         }
     }
 

@@ -64,7 +64,7 @@ pub struct WorkerReport {
 /// heap, one address space, and the dense live-object table mapping
 /// workload ids to heap addresses.
 ///
-/// Public so benches (`hotpath_bench`) and audits (`alloc_audit`) can
+/// Public so benches (perfbench) and audits (`alloc_audit`) can
 /// drive the exact hot loop a worker runs, without threads or queues
 /// around it. Constructing it *inside* the spawned worker thread is
 /// deliberate: only the `Copy + Send` kind tag crosses the spawn

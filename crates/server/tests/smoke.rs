@@ -7,7 +7,8 @@
 //!   shed policy (`submitted == completed + shed`);
 //! * `freeAll` leaves every worker heap empty between transactions
 //!   (`max_live_after_tx == 0` on every worker);
-//! * accounting is identical across repeated same-seed runs.
+//! * accounting is identical across repeated same-seed runs;
+//! * a served run recycles its op buffers through the pool.
 
 use webmm_alloc::AllocatorKind;
 use webmm_server::{
@@ -115,4 +116,31 @@ fn overloaded_open_loop_still_accounts_every_tx() {
     for w in &report.per_worker {
         assert_eq!(w.max_live_after_tx, 0);
     }
+}
+
+#[test]
+fn served_run_recycles_op_buffers_at_steady_state() {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        queue_capacity: 128,
+        static_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    drive_closed(&server, TxFactory::new(phpbb(), 1024, 42), 1000, 4);
+    let report = server.finish();
+    assert_eq!(report.submitted, 1000);
+    assert_eq!(
+        report.submitted,
+        report.completed + report.shed,
+        "accounting identity"
+    );
+    // Every transaction took exactly one buffer from the pool.
+    let pool = &report.pool;
+    assert_eq!(pool.recycled + pool.fresh, report.submitted, "{pool:?}");
+    // Fresh allocations are the warm-up while buffers are first in
+    // flight; after that, completed transactions feed the generator.
+    assert!(
+        pool.recycled > pool.fresh,
+        "recycling must dominate: {pool:?}"
+    );
 }

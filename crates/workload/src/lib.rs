@@ -37,7 +37,6 @@ mod objtable;
 mod sizes;
 mod spec;
 mod stream;
-pub mod trace;
 
 pub use objtable::ObjectTable;
 pub use sizes::SizeSampler;

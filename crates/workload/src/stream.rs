@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Object identity is by `id` (assigned at `Malloc`); the runtime maps ids
 /// to allocator addresses, so streams are independent of any particular
 /// allocator's address choices.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize)]
 pub enum WorkOp {
     /// Allocate `size` bytes for object `id`.
     Malloc {

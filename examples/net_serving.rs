@@ -33,7 +33,11 @@ fn main() {
         match flag.as_str() {
             "--open" => {
                 let v = it.next().expect("--open takes a tx/sec rate");
-                rate = Some(v.parse().expect("rate must be a number"));
+                let parsed = v.parse().ok().filter(|r: &f64| *r > 0.0);
+                rate = Some(parsed.unwrap_or_else(|| {
+                    eprintln!("bad --open `{v}` (usage: --open RATE_TX_PER_SEC, RATE > 0)");
+                    std::process::exit(2);
+                }));
             }
             other => panic!("unknown flag `{other}` (try --open RATE)"),
         }
