@@ -119,19 +119,23 @@ fn parse_args() -> Args {
                 });
             }
             "--out" => args.out = value(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!(
-                    "usage: net_shootout [--workers N] [--conns N] [--tx N] [--scale N] \
-                     [--seed N] [--policy block|reject|shed-oldest] [--capacity N] \
-                     [--rate TX_PER_SEC] [--out FILE]"
-                );
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag `{other}`")),
         }
     }
-    assert!(args.workers > 0 && args.conns > 0, "counts must be nonzero");
+    if args.workers == 0 || args.conns == 0 {
+        usage("--workers and --conns must be nonzero");
+    }
     args
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!(
+        "usage: net_shootout [--workers N] [--conns N] [--tx N] [--scale N] \
+         [--seed N] [--policy block|reject|shed-oldest] [--capacity N] \
+         [--rate TX_PER_SEC] [--out FILE]"
+    );
+    std::process::exit(2);
 }
 
 fn main() {

@@ -25,13 +25,12 @@
 //! not drive a worker heap into its out-of-memory panic.
 
 use crate::frame::{encode, Decoder, Frame, Status, TxBody};
-use crate::listener::NetMetrics;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use webmm_obs::NetCounters;
+use webmm_obs::{bump, FrontEndBlock};
 use webmm_server::{Ingress, Transaction, TxBufferPool};
 use webmm_workload::WorkOp;
 
@@ -55,44 +54,16 @@ pub(crate) struct ConnShared {
     pub max_tx_bytes: u64,
 }
 
-/// Per-handler counters, merged into the `NetReport` at drain.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ConnTallies {
-    /// Traffic counters (shared schema with the client side).
-    pub net: NetCounters,
-    /// Submit requests answered.
-    pub requests: u64,
-    /// Pings answered.
-    pub pings: u64,
-    /// Responses by status.
-    pub accepted: u64,
-    pub shed_accepted: u64,
-    pub rejected: u64,
-    pub draining: u64,
-    pub oversized: u64,
-}
-
-impl ConnTallies {
-    pub(crate) fn merge(&mut self, o: &ConnTallies) {
-        self.net.merge(&o.net);
-        self.requests += o.requests;
-        self.pings += o.pings;
-        self.accepted += o.accepted;
-        self.shed_accepted += o.shed_accepted;
-        self.rejected += o.rejected;
-        self.draining += o.draining;
-        self.oversized += o.oversized;
-    }
-
-    fn count_status(&mut self, status: Status) {
-        match status {
-            Status::Accepted => self.accepted += 1,
-            Status::AcceptedSheddingOldest => self.shed_accepted += 1,
-            Status::Rejected => self.rejected += 1,
-            Status::Draining => self.draining += 1,
-            Status::TooLarge => self.oversized += 1,
-        }
-    }
+/// Counts one issued response status.
+fn count_status(t: &FrontEndBlock, status: Status) {
+    let cell = match status {
+        Status::Accepted => &t.accepted,
+        Status::AcceptedSheddingOldest => &t.shed_accepted,
+        Status::Rejected => &t.rejected,
+        Status::Draining => &t.draining,
+        Status::TooLarge => &t.oversized,
+    };
+    bump(cell, 1);
 }
 
 /// What the connection loop should do after a frame was handled.
@@ -124,17 +95,17 @@ impl ConnBuffers {
 
 /// Serves one connection to completion: keep-alive request/response
 /// until the peer says goodbye, goes quiet past the idle timeout,
-/// misbehaves, or the server drains.
+/// misbehaves, or the server drains. Every event is counted once, in
+/// the handler's own block `t`.
 pub(crate) fn serve_conn(
     mut stream: TcpStream,
     ctx: &ConnShared,
     bufs: &mut ConnBuffers,
-    t: &mut ConnTallies,
-    metrics: Option<&NetMetrics>,
+    t: &FrontEndBlock,
 ) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(ctx.idle_timeout)).is_err() {
-        t.net.conns_dropped += 1;
+        bump(&t.conns_dropped, 1);
         return;
     }
     bufs.rbuf.clear();
@@ -153,17 +124,11 @@ pub(crate) fn serve_conn(
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
-                t.net.conns_dropped += 1;
-                if let Some(m) = metrics {
-                    m.conns_dropped.add(1);
-                }
+                bump(&t.conns_dropped, 1);
                 return;
             }
         };
-        t.net.bytes_in += n as u64;
-        if let Some(m) = metrics {
-            m.bytes_in.add(n as u64);
-        }
+        bump(&t.bytes_in, n as u64);
         bufs.rbuf.extend_from_slice(&bufs.chunk[..n]);
         let mut consumed = 0usize;
         let mut flow = Flow::Continue;
@@ -171,18 +136,15 @@ pub(crate) fn serve_conn(
             match ctx.decoder.decode(&bufs.rbuf[consumed..]) {
                 Ok(Some((frame, used))) => {
                     consumed += used;
-                    t.net.frames_in += 1;
-                    flow = handle_frame(frame, ctx, t, metrics, &mut bufs.wbuf);
+                    bump(&t.frames_in, 1);
+                    flow = handle_frame(frame, ctx, t, &mut bufs.wbuf);
                     if !matches!(flow, Flow::Continue) {
                         break;
                     }
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    t.net.protocol_errors += 1;
-                    if let Some(m) = metrics {
-                        m.protocol_errors.add(1);
-                    }
+                    bump(&t.protocol_errors, 1);
                     flow = Flow::CloseError;
                     break;
                 }
@@ -191,85 +153,59 @@ pub(crate) fn serve_conn(
         bufs.rbuf.drain(..consumed);
         // Flush what we owe even on a close path, so in-flight responses
         // are never lost to a later protocol error in the same chunk.
-        if !flush(&mut stream, &mut bufs.wbuf, t, metrics) {
-            t.net.conns_dropped += 1;
-            if let Some(m) = metrics {
-                m.conns_dropped.add(1);
-            }
+        if !flush(&mut stream, &mut bufs.wbuf, t) {
+            bump(&t.conns_dropped, 1);
             return;
         }
         match flow {
             Flow::Continue => {}
             Flow::CloseClean => break,
             Flow::CloseError => {
-                t.net.conns_dropped += 1;
-                if let Some(m) = metrics {
-                    m.conns_dropped.add(1);
-                }
+                bump(&t.conns_dropped, 1);
                 return;
             }
         }
     }
-    t.net.conns_closed += 1;
+    bump(&t.conns_closed, 1);
 }
 
 /// Writes the pending responses out; `false` on I/O failure.
-fn flush(
-    stream: &mut TcpStream,
-    wbuf: &mut Vec<u8>,
-    t: &mut ConnTallies,
-    metrics: Option<&NetMetrics>,
-) -> bool {
+fn flush(stream: &mut TcpStream, wbuf: &mut Vec<u8>, t: &FrontEndBlock) -> bool {
     if wbuf.is_empty() {
         return true;
     }
     let ok = stream.write_all(wbuf).is_ok();
     if ok {
-        t.net.bytes_out += wbuf.len() as u64;
-        if let Some(m) = metrics {
-            m.bytes_out.add(wbuf.len() as u64);
-        }
+        bump(&t.bytes_out, wbuf.len() as u64);
     }
     wbuf.clear();
     ok
 }
 
-fn handle_frame(
-    frame: Frame,
-    ctx: &ConnShared,
-    t: &mut ConnTallies,
-    metrics: Option<&NetMetrics>,
-    wbuf: &mut Vec<u8>,
-) -> Flow {
+fn handle_frame(frame: Frame, ctx: &ConnShared, t: &FrontEndBlock, wbuf: &mut Vec<u8>) -> Flow {
     match frame {
         Frame::Submit {
             request_id,
             affinity,
             body,
         } => {
-            t.requests += 1;
-            if let Some(m) = metrics {
-                m.requests.add(1);
-            }
+            bump(&t.requests, 1);
             let status = submit(ctx, affinity, body);
-            t.count_status(status);
+            count_status(t, status);
             encode(&Frame::Status { request_id, status }, wbuf);
-            t.net.frames_out += 1;
+            bump(&t.frames_out, 1);
             Flow::Continue
         }
         Frame::Ping => {
-            t.pings += 1;
+            bump(&t.pings, 1);
             encode(&Frame::Pong, wbuf);
-            t.net.frames_out += 1;
+            bump(&t.frames_out, 1);
             Flow::Continue
         }
         Frame::Goodbye => Flow::CloseClean,
         // Response frames arriving at the server are a protocol error.
         Frame::Status { .. } | Frame::Pong => {
-            t.net.protocol_errors += 1;
-            if let Some(m) = metrics {
-                m.protocol_errors.add(1);
-            }
+            bump(&t.protocol_errors, 1);
             Flow::CloseError
         }
     }

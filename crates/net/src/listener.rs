@@ -23,13 +23,15 @@
 //! status the front-end issued is reconciled against the queue's
 //! admission counters.
 //!
-//! With telemetry attached to the inner server, the front-end registers
-//! the [`net_metric`](webmm_obs::net_metric) family in the same
-//! [`MetricsRegistry`](webmm_obs::MetricsRegistry) the workers use, so
-//! connection churn, byte traffic and protocol errors appear in every
-//! live `ObsSample` without new sampler machinery.
+//! **Counting.** Each front-end thread (every handler, and the acceptor)
+//! counts its events once, into its own cache-line-aligned
+//! [`FrontEndBlock`] of relaxed atomics. [`NetServer::finish`] builds
+//! the [`NetReport`] by summing the blocks after the threads are joined,
+//! and when the inner server has telemetry, [`NetServer::bind`] hands
+//! the same blocks to it: every live `ObsSample` carries their sum as
+//! `front_end`, and the closing sample equals the report.
 
-use crate::conn::{serve_conn, ConnBuffers, ConnShared, ConnTallies};
+use crate::conn::{serve_conn, ConnBuffers, ConnShared};
 use crate::frame::{Decoder, DEFAULT_MAX_FRAME, DEFAULT_MAX_OPS};
 use std::collections::VecDeque;
 use std::io;
@@ -38,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use webmm_obs::{net_metric, MetricHandle, MetricKind, MetricsRegistry, NetCounters};
+use webmm_obs::{bump, FrontEndBlock, FrontEndCounters, NetCounters};
 use webmm_server::{ObsSample, Server, ServerReport};
 
 /// Configuration of the TCP front-end.
@@ -75,36 +77,6 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Pre-resolved registry handles for the front-end's metrics (see
-/// [`net_metric`]). One set per handler thread on that handler's shard;
-/// the `conns_open` gauge is a single shard-0 handle shared by everyone
-/// and driven from one atomic, so concurrent handlers can't clobber
-/// each other's contribution.
-pub(crate) struct NetMetrics {
-    pub conns_open: MetricHandle,
-    pub conns_accepted: MetricHandle,
-    pub conns_dropped: MetricHandle,
-    pub bytes_in: MetricHandle,
-    pub bytes_out: MetricHandle,
-    pub requests: MetricHandle,
-    pub protocol_errors: MetricHandle,
-}
-
-impl NetMetrics {
-    fn new(registry: &MetricsRegistry, shard: usize) -> Self {
-        let shard = shard % registry.shards();
-        NetMetrics {
-            conns_open: registry.handle(net_metric::CONNS_OPEN, MetricKind::Gauge, 0),
-            conns_accepted: registry.handle(net_metric::CONNS_ACCEPTED, MetricKind::Counter, shard),
-            conns_dropped: registry.handle(net_metric::CONNS_DROPPED, MetricKind::Counter, shard),
-            bytes_in: registry.handle(net_metric::BYTES_IN, MetricKind::Counter, shard),
-            bytes_out: registry.handle(net_metric::BYTES_OUT, MetricKind::Counter, shard),
-            requests: registry.handle(net_metric::REQUESTS, MetricKind::Counter, shard),
-            protocol_errors: registry.handle(net_metric::PROTOCOL_ERRORS, MetricKind::Counter, 0),
-        }
-    }
-}
-
 /// The accepted-socket hand-off between acceptor and handlers.
 struct Pending {
     conns: VecDeque<TcpStream>,
@@ -120,8 +92,9 @@ struct Shared {
     /// A read-shutdown clone of each handler's current socket, indexed
     /// by handler — drain uses it to wake handlers parked in `read`.
     active: Vec<Mutex<Option<TcpStream>>>,
-    /// Connections currently being served (drives the open-conns gauge).
-    open: AtomicU64,
+    /// One counter block per front-end thread: the acceptor's at index
+    /// 0, handler `h`'s at `h + 1`.
+    counters: Arc<[FrontEndBlock]>,
 }
 
 /// A TCP serving tier wrapped around a running [`Server`].
@@ -129,8 +102,8 @@ pub struct NetServer {
     server: Server,
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: JoinHandle<ConnTallies>,
-    handlers: Vec<JoinHandle<ConnTallies>>,
+    acceptor: JoinHandle<()>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -175,25 +148,27 @@ impl NetServer {
             available: Condvar::new(),
             backlog: config.backlog,
             active: (0..config.handlers).map(|_| Mutex::new(None)).collect(),
-            open: AtomicU64::new(0),
+            counters: (0..=config.handlers)
+                .map(|_| FrontEndBlock::default())
+                .collect(),
         });
-        let registry = server.telemetry().map(|t| &t.registry);
+        if let Some(t) = server.telemetry() {
+            t.attach_front_end(Arc::clone(&shared.counters));
+        }
         let handlers = (0..config.handlers)
             .map(|h| {
                 let shared = Arc::clone(&shared);
-                let metrics = registry.map(|r| NetMetrics::new(r, h));
                 std::thread::Builder::new()
                     .name(format!("webmm-net-conn-{h}"))
-                    .spawn(move || handler_loop(h, &shared, metrics.as_ref()))
+                    .spawn(move || handler_loop(h, &shared))
                     .expect("spawn net handler")
             })
             .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let metrics = registry.map(|r| NetMetrics::new(r, 0));
             std::thread::Builder::new()
                 .name("webmm-net-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, metrics.as_ref()))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn net acceptor")
         };
         Ok(NetServer {
@@ -241,18 +216,20 @@ impl NetServer {
     #[must_use]
     pub fn finish_with_obs(self) -> (NetReport, Vec<ObsSample>) {
         self.shared.ctx.draining.store(true, Ordering::Release);
-        let mut tallies = ConnTallies::default();
         {
             let mut pending = self.shared.pending.lock().expect("pending lock");
             pending.closed = true;
             // Accepted but never served: counted dropped, sockets closed.
-            tallies.net.conns_dropped += pending.conns.len() as u64;
+            bump(
+                &self.shared.counters[0].conns_dropped,
+                pending.conns.len() as u64,
+            );
             pending.conns.clear();
         }
         self.shared.available.notify_all();
         // Unblock the acceptor's blocking accept() with a self-connect.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-        tallies.merge(&self.acceptor.join().expect("net acceptor panicked"));
+        self.acceptor.join().expect("net acceptor panicked");
         // Wake handlers parked in read(): EOF their read side; they
         // flush what they owe and exit.
         for slot in &self.shared.active {
@@ -261,30 +238,29 @@ impl NetServer {
             }
         }
         for h in self.handlers {
-            tallies.merge(&h.join().expect("net handler panicked"));
+            h.join().expect("net handler panicked");
         }
+        // Every front-end thread has joined: the sum is final, and the
+        // closing sample the server takes next reads the same blocks.
+        let fe = FrontEndCounters::sum(&self.shared.counters);
         let (server, samples) = self.server.finish_with_obs();
         let report = NetReport {
-            net: tallies.net,
-            requests: tallies.requests,
-            pings: tallies.pings,
-            oversized: tallies.oversized,
-            accepted: tallies.accepted,
-            shed_accepted: tallies.shed_accepted,
-            rejected: tallies.rejected,
-            draining: tallies.draining,
+            net: fe.net,
+            requests: fe.requests,
+            pings: fe.pings,
+            oversized: fe.oversized,
+            accepted: fe.accepted,
+            shed_accepted: fe.shed_accepted,
+            rejected: fe.rejected,
+            draining: fe.draining,
             server,
         };
         (report, samples)
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Shared,
-    metrics: Option<&NetMetrics>,
-) -> ConnTallies {
-    let mut t = ConnTallies::default();
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    let t = &shared.counters[0];
     loop {
         if let Ok((stream, _)) = listener.accept() {
             if shared.ctx.draining.load(Ordering::Acquire) {
@@ -292,17 +268,11 @@ fn accept_loop(
                 drop(stream);
                 break;
             }
-            t.net.conns_accepted += 1;
-            if let Some(m) = metrics {
-                m.conns_accepted.add(1);
-            }
+            bump(&t.conns_accepted, 1);
             let mut pending = shared.pending.lock().expect("pending lock");
             if pending.closed || pending.conns.len() >= shared.backlog {
                 drop(pending);
-                t.net.conns_dropped += 1;
-                if let Some(m) = metrics {
-                    m.conns_dropped.add(1);
-                }
+                bump(&t.conns_dropped, 1);
                 drop(stream);
             } else {
                 pending.conns.push_back(stream);
@@ -315,14 +285,13 @@ fn accept_loop(
             }
             // Transient accept errors (per-connection resets) are not
             // fatal to the acceptor.
-            t.net.conns_dropped += 1;
+            bump(&t.conns_dropped, 1);
         }
     }
-    t
 }
 
-fn handler_loop(handler: usize, shared: &Shared, metrics: Option<&NetMetrics>) -> ConnTallies {
-    let mut t = ConnTallies::default();
+fn handler_loop(handler: usize, shared: &Shared) {
+    let t = &shared.counters[handler + 1];
     let mut bufs = ConnBuffers::new();
     loop {
         let stream = {
@@ -340,18 +309,11 @@ fn handler_loop(handler: usize, shared: &Shared, metrics: Option<&NetMetrics>) -
         let Some(stream) = stream else { break };
         // Register a clone so drain can EOF our read side mid-read.
         *shared.active[handler].lock().expect("active slot lock") = stream.try_clone().ok();
-        let open = shared.open.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(m) = &metrics {
-            m.conns_open.set(open);
-        }
-        serve_conn(stream, &shared.ctx, &mut bufs, &mut t, metrics);
-        let open = shared.open.fetch_sub(1, Ordering::Relaxed) - 1;
-        if let Some(m) = &metrics {
-            m.conns_open.set(open);
-        }
+        t.conns_open.store(1, Ordering::Relaxed);
+        serve_conn(stream, &shared.ctx, &mut bufs, t);
+        t.conns_open.store(0, Ordering::Relaxed);
         *shared.active[handler].lock().expect("active slot lock") = None;
     }
-    t
 }
 
 /// Everything the TCP tier and the server behind it produced,

@@ -21,7 +21,7 @@ use webmm_net::{
     encode, run_client, ClientWorkload, Decoder, Frame, LoadMode, NetClientConfig, NetReport,
     NetServer, NetServerConfig, Status, TxBody,
 };
-use webmm_server::{AdmissionPolicy, ObsConfig, Server, ServerConfig};
+use webmm_server::{AdmissionPolicy, ObsConfig, ObsSample, Server, ServerConfig};
 use webmm_workload::{phpbb, WorkOp};
 
 fn start_tier(policy: AdmissionPolicy, capacity: usize) -> NetServer {
@@ -257,8 +257,7 @@ fn sizes_that_wrap_the_byte_sum_are_refused_not_executed() {
     assert!(report.reconciles(), "tier must reconcile: {report:?}");
 }
 
-#[test]
-fn net_metrics_flow_into_telemetry_samples() {
+fn start_observed_tier() -> NetServer {
     let server = Server::start(ServerConfig {
         workers: 2,
         static_bytes: 1 << 16,
@@ -269,7 +268,7 @@ fn net_metrics_flow_into_telemetry_samples() {
         }),
         ..ServerConfig::default()
     });
-    let tier = NetServer::bind(
+    NetServer::bind(
         server,
         "127.0.0.1:0",
         NetServerConfig {
@@ -277,7 +276,12 @@ fn net_metrics_flow_into_telemetry_samples() {
             ..NetServerConfig::default()
         },
     )
-    .expect("bind loopback");
+    .expect("bind loopback")
+}
+
+#[test]
+fn front_end_counters_flow_into_telemetry_samples() {
+    let tier = start_observed_tier();
     let requests = 40;
     let client = run_client(
         tier.local_addr(),
@@ -290,20 +294,59 @@ fn net_metrics_flow_into_telemetry_samples() {
     );
     let (report, samples) = tier.finish_with_obs();
     assert_clean_run(&client, &report, requests);
-    assert!(!samples.is_empty());
-    let last = samples.last().expect("at least one sample");
-    let metric = |name: &str| {
-        last.counters
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("metric {name} missing from samples"))
-            .value
-    };
-    // The final sample is taken at drain, after all traffic: cumulative
-    // counters must agree exactly with the tier's report.
-    assert_eq!(metric("net_requests"), report.requests);
-    assert_eq!(metric("net_conns_accepted"), report.net.conns_accepted);
-    assert_eq!(metric("net_bytes_in"), report.net.bytes_in);
-    assert_eq!(metric("net_bytes_out"), report.net.bytes_out);
-    assert_eq!(metric("net_protocol_errors"), 0);
+    let last = samples.last().expect("at least the closing sample");
+    let fe = last.front_end.expect("a bound front-end is sampled");
+    // The closing sample is taken after every front-end thread joined,
+    // from the blocks the report was summed from: the two must agree on
+    // every field.
+    assert_eq!(fe.net, report.net);
+    assert_eq!(fe.requests, report.requests);
+    assert_eq!(fe.pings, report.pings);
+    assert_eq!(fe.accepted, report.accepted);
+    assert_eq!(fe.shed_accepted, report.shed_accepted);
+    assert_eq!(fe.rejected, report.rejected);
+    assert_eq!(fe.draining, report.draining);
+    assert_eq!(fe.oversized, report.oversized);
+    assert_eq!(fe.conns_open, 0, "every connection is closed after drain");
+    assert_eq!(last.completed, report.server.completed);
+    // The exported JSONL line carries the same counters.
+    let line = serde_json::to_string(last).expect("sample serializes");
+    let parsed: ObsSample = serde_json::from_str(&line).expect("sample parses");
+    assert_eq!(parsed.front_end, Some(fe));
+}
+
+#[test]
+fn malformed_frame_is_counted_once_in_report_and_samples() {
+    let tier = start_observed_tier();
+    let mut stream = TcpStream::connect(tier.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // A one-byte body whose frame tag no protocol version defines.
+    stream
+        .write_all(&[1, 0, 0, 0, 0x7f])
+        .expect("send the frame");
+    // The handler answers a protocol error by dropping the connection;
+    // wait for its EOF before draining, so drain cannot close it first.
+    let mut byte = [0u8; 1];
+    let eof = stream.read(&mut byte).ok();
+    assert_eq!(
+        eof,
+        Some(0),
+        "the server must drop the connection unanswered"
+    );
+    let (report, samples) = tier.finish_with_obs();
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
+    assert_eq!(report.net.conns_accepted, 1);
+    assert_eq!(report.net.protocol_errors, 1);
+    assert_eq!(report.net.conns_dropped, 1);
+    assert_eq!(report.net.conns_closed, 0);
+    assert_eq!(report.requests, 0);
+    let fe = samples
+        .last()
+        .and_then(|s| s.front_end)
+        .expect("a bound front-end is sampled");
+    assert_eq!(fe.net.protocol_errors, 1);
+    assert_eq!(fe.net.conns_dropped, 1);
+    assert_eq!(fe.net, report.net);
 }

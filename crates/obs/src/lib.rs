@@ -7,9 +7,10 @@
 //! `Server::finish` — with overhead small enough that the measurements
 //! remain trustworthy:
 //!
-//! * [`MetricsRegistry`] — named atomic counters/gauges, one
-//!   cache-line-padded shard per worker, snapshot-on-read. The hot path
-//!   is a single relaxed atomic add.
+//! * [`FrontEndBlock`] / [`FrontEndCounters`] — the network front-end's
+//!   typed counters: one cache-line-aligned block of relaxed atomics per
+//!   front-end thread, summed on read into the snapshot that both the
+//!   drain report and every live sample are built from.
 //! * [`LatencyHistogram`] / [`LatencySummary`] — the log2-bucketed
 //!   histogram (moved here from `webmm-server` so every crate shares one
 //!   definition of a quantile) with documented edge behavior at
@@ -37,15 +38,13 @@
 mod heap;
 mod histogram;
 mod net;
-mod registry;
 mod shard;
 mod trace;
 mod window;
 
 pub use heap::{ClassOccupancy, HeapSnapshot, HeapTelemetry};
 pub use histogram::{LatencyHistogram, LatencySummary};
-pub use net::{net_metric, NetCounters};
-pub use registry::{MetricHandle, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot};
+pub use net::{bump, FrontEndBlock, FrontEndCounters, NetCounters};
 pub use shard::ShardSample;
 pub use trace::{SpanRing, TxSpan, TxTracer};
 pub use window::{AtomicHistogram, SlidingWindow};

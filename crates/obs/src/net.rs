@@ -1,4 +1,5 @@
-//! Network-tier observation: the shared counter block and metric names.
+//! Network-tier observation: the shared traffic counters and the
+//! front-end's per-thread counter blocks.
 //!
 //! `webmm-net` puts a real TCP tier in front of the serving harness;
 //! both of its halves — the connection front-end and the load-generator
@@ -6,12 +7,12 @@
 //! so server-side and client-side JSON reports stay field-compatible
 //! and reconciliation tests can diff them directly.
 //!
-//! The front-end additionally mirrors these counters into the
-//! [`MetricsRegistry`](crate::MetricsRegistry) under the names in
-//! [`net_metric`], which is how connection churn, byte traffic, and
-//! protocol errors flow into every live `ObsSample` alongside queue
-//! depth and heap occupancy — no new sampler machinery, just more
-//! registered metrics.
+//! The front-end counts every event once, into the [`FrontEndBlock`] of
+//! the thread that saw it. Its drain report and every live `ObsSample`
+//! are both [`FrontEndCounters::sum`]s of the same blocks, so the live
+//! view and the report cannot disagree about what was counted.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One side's view of network traffic. For the server front-end,
 /// `conns_accepted` counts accepted sockets; for the client, established
@@ -54,30 +55,124 @@ impl NetCounters {
     }
 }
 
-/// Registry metric names published by the network front-end. Centralized
-/// here (like the server's worker metrics) so the front-end, dashboards,
-/// and tests agree on spelling.
-pub mod net_metric {
-    /// Connections currently being served (gauge: each handler sets its
-    /// shard to the connections it holds; shards sum on read).
-    pub const CONNS_OPEN: &str = "net_conns_open";
-    /// Connections accepted since startup (counter).
-    pub const CONNS_ACCEPTED: &str = "net_conns_accepted";
-    /// Connections dropped abnormally (counter).
-    pub const CONNS_DROPPED: &str = "net_conns_dropped";
-    /// Bytes read off sockets (counter).
-    pub const BYTES_IN: &str = "net_bytes_in";
-    /// Bytes written to sockets (counter).
-    pub const BYTES_OUT: &str = "net_bytes_out";
-    /// Submit requests handled (counter).
-    pub const REQUESTS: &str = "net_requests";
-    /// Protocol violations (counter).
-    pub const PROTOCOL_ERRORS: &str = "net_protocol_errors";
+/// The live counter block of one front-end thread (a connection
+/// handler, or the acceptor), written with relaxed atomic adds and
+/// aligned to a cache line so no two threads' writes share one. Each
+/// cell counts what the [`FrontEndCounters`] field of the same name
+/// reports; reports and live samples both read it through
+/// [`FrontEndCounters::sum`].
+#[repr(align(64))]
+#[derive(Debug, Default)]
+pub struct FrontEndBlock {
+    pub conns_accepted: AtomicU64,
+    pub conns_closed: AtomicU64,
+    pub conns_dropped: AtomicU64,
+    pub bytes_in: AtomicU64,
+    pub bytes_out: AtomicU64,
+    pub frames_in: AtomicU64,
+    pub frames_out: AtomicU64,
+    pub protocol_errors: AtomicU64,
+    pub requests: AtomicU64,
+    pub pings: AtomicU64,
+    pub accepted: AtomicU64,
+    pub shed_accepted: AtomicU64,
+    pub rejected: AtomicU64,
+    pub draining: AtomicU64,
+    pub oversized: AtomicU64,
+    pub conns_open: AtomicU64,
+}
+
+/// Adds `n` to one front-end cell. Relaxed: a counter publishes no other
+/// data, and readers only sum.
+#[inline]
+pub fn bump(cell: &AtomicU64, n: u64) {
+    cell.fetch_add(n, Ordering::Relaxed);
+}
+
+/// The front-end's counters at one instant: the fields of `NetReport`
+/// that the tier itself counts, plus the connections open right now.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct FrontEndCounters {
+    /// Traffic counters (shared schema with the client side).
+    pub net: NetCounters,
+    /// Submit requests answered.
+    pub requests: u64,
+    /// Pings answered.
+    pub pings: u64,
+    /// `Accepted` responses issued.
+    pub accepted: u64,
+    /// `AcceptedSheddingOldest` responses issued.
+    pub shed_accepted: u64,
+    /// `Rejected` responses issued.
+    pub rejected: u64,
+    /// `Draining` responses issued.
+    pub draining: u64,
+    /// `TooLarge` responses issued.
+    pub oversized: u64,
+    /// Connections being served (0 once the tier has drained).
+    pub conns_open: u64,
+}
+
+impl FrontEndCounters {
+    /// Sums every block's cells. Each cell is read atomically, the set of
+    /// them is not: a mid-run sum may catch one thread between two
+    /// related counts. Once the front-end threads are joined, it is exact.
+    #[must_use]
+    pub fn sum(blocks: &[FrontEndBlock]) -> Self {
+        let total = |cell: fn(&FrontEndBlock) -> &AtomicU64| {
+            blocks
+                .iter()
+                .map(|b| cell(b).load(Ordering::Relaxed))
+                .sum::<u64>()
+        };
+        FrontEndCounters {
+            net: NetCounters {
+                conns_accepted: total(|b| &b.conns_accepted),
+                conns_closed: total(|b| &b.conns_closed),
+                conns_dropped: total(|b| &b.conns_dropped),
+                bytes_in: total(|b| &b.bytes_in),
+                bytes_out: total(|b| &b.bytes_out),
+                frames_in: total(|b| &b.frames_in),
+                frames_out: total(|b| &b.frames_out),
+                protocol_errors: total(|b| &b.protocol_errors),
+            },
+            requests: total(|b| &b.requests),
+            pings: total(|b| &b.pings),
+            accepted: total(|b| &b.accepted),
+            shed_accepted: total(|b| &b.shed_accepted),
+            rejected: total(|b| &b.rejected),
+            draining: total(|b| &b.draining),
+            oversized: total(|b| &b.oversized),
+            conns_open: total(|b| &b.conns_open),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sum_adds_each_cell_into_its_own_field() {
+        assert_eq!(std::mem::align_of::<FrontEndBlock>(), 64);
+        let blocks = [FrontEndBlock::default(), FrontEndBlock::default()];
+        bump(&blocks[0].bytes_in, 3);
+        bump(&blocks[1].bytes_in, 4);
+        bump(&blocks[1].protocol_errors, 1);
+        bump(&blocks[0].oversized, 2);
+        bump(&blocks[1].conns_open, 1);
+        let expected = FrontEndCounters {
+            net: NetCounters {
+                bytes_in: 7,
+                protocol_errors: 1,
+                ..NetCounters::default()
+            },
+            oversized: 2,
+            conns_open: 1,
+            ..FrontEndCounters::default()
+        };
+        assert_eq!(FrontEndCounters::sum(&blocks), expected);
+    }
 
     #[test]
     fn merge_sums_every_field() {

@@ -104,11 +104,6 @@ impl SlidingWindow {
         }
     }
 
-    /// Number of slots in the ring.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Records into the current slot. Racing with [`advance`](Self::advance)
     /// at worst lands the observation in the slot just rotated out — off
     /// by one tick, never lost.

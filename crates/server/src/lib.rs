@@ -34,9 +34,12 @@
 //! * [`ServerReport`] — JSON-serializable run outcome, carrying the
 //!   checked accounting identity `submitted == completed + shed`;
 //! * [`ObsConfig`] / [`ServerTelemetry`] / [`ObsSample`] — opt-in live
-//!   telemetry: a sampler thread snapshots queue depth, per-worker heap
-//!   occupancy and sliding-window latency quantiles at a configurable
-//!   interval, streaming JSONL while the run is still serving.
+//!   telemetry: a sampler thread snapshots queue depth, sliding-window
+//!   latency quantiles, and the heap snapshot and [`WorkerReport`] each
+//!   worker last published (plus an attached network front-end's
+//!   counters) at a configurable interval, streaming JSONL while the run
+//!   is still serving. Samples read the same counters the final report
+//!   is built from, so the closing sample equals the report.
 //!
 //! ## Example
 //!

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 use webmm_alloc::AllocatorKind;
-use webmm_obs::{LatencyHistogram, LatencySummary, TxSpan};
+use webmm_obs::{LatencyHistogram, LatencySummary};
 
 /// Configuration of a native serving run.
 #[derive(Clone, Debug)]
@@ -155,11 +155,6 @@ impl Server {
         }
     }
 
-    /// Transactions currently queued (gauge).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
     /// Whether the ingress queue has been closed for draining. Front-end
     /// tiers (e.g. `webmm-net`) check this to refuse new work with a
     /// drain status instead of submitting transactions that would only
@@ -171,16 +166,6 @@ impl Server {
     /// The live telemetry plane, when the config asked for one.
     pub fn telemetry(&self) -> Option<&Arc<ServerTelemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// All transaction spans currently retained in the trace rings
-    /// (completions per worker plus the shed lane), sorted by completion
-    /// time. Empty without telemetry.
-    pub fn dump_spans(&self) -> Vec<TxSpan> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.dump_spans())
-            .unwrap_or_default()
     }
 
     /// Closes the ingress queue, drains it, joins every worker, and

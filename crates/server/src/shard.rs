@@ -500,12 +500,6 @@ impl ShardedTxQueue {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Transactions currently queued across all shards (a gauge; racy by
-    /// nature).
-    pub fn depth(&self) -> usize {
-        self.snapshot().depth as usize
-    }
-
     /// Admission counters summed across shards (`max_depth` is the
     /// deepest any single shard has been).
     pub fn counters(&self) -> QueueCounters {

@@ -4,43 +4,53 @@
 //! the server threads a shared [`ServerTelemetry`] through the queue and
 //! every worker, and a sampler thread wakes at the configured interval to
 //! assemble an [`ObsSample`]: queue depth, admission counters, the
-//! sliding-window latency quantiles, the sharded metric registry, and the
-//! most recent heap snapshot each worker published. Samples stream to a
-//! JSONL file (one JSON object per line, `serde`-compatible with the
-//! `ServerReport` types), so a run can be watched — or post-processed —
-//! while it is still serving.
+//! sliding-window latency quantiles, the heap snapshot and
+//! [`WorkerReport`] each worker last published, and, when a network
+//! front-end is attached, the sum of its per-thread counter blocks.
+//! Samples stream to a JSONL file (one JSON object per line,
+//! `serde`-compatible with the `ServerReport` types), so a run can be
+//! watched — or post-processed — while it is still serving.
+//!
+//! Every number in a sample is read from the same record the final
+//! report is built from: a worker's published `WorkerReport` is the
+//! report it returns at drain, and the front-end's counters are the
+//! blocks `NetReport` sums. The closing sample, taken after every thread
+//! has joined, therefore equals the report by construction.
 //!
 //! The instrumentation mirrors the discipline of the allocators it
-//! observes: workers touch only per-worker atomic shards and their own
-//! mutex-free state on the hot path, and snapshotting is done entirely by
-//! the reader. See DESIGN.md ("Observability") for why this is the
-//! telemetry analogue of DDmalloc's no-per-object-header rule.
+//! observes: workers touch only their own state on the hot path and
+//! publish into their own slot at a throttled rate, and snapshotting is
+//! done entirely by the reader. See DESIGN.md ("Observability") for why
+//! this is the telemetry analogue of DDmalloc's no-per-object-header rule.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use webmm_obs::{
-    HeapSnapshot, LatencySummary, MetricKind, MetricSample, MetricsRegistry, ShardSample,
-    SlidingWindow, TxSpan, TxTracer,
+    FrontEndBlock, FrontEndCounters, HeapSnapshot, LatencySummary, ShardSample, SlidingWindow,
+    TxSpan, TxTracer,
 };
 
 use crate::shard::ShardedTxQueue;
+use crate::worker::WorkerReport;
+
+/// Slots in the sliding latency window: it covers the last
+/// `WINDOW_SLOTS × interval` of completions.
+const WINDOW_SLOTS: usize = 8;
 
 /// Configuration of the live-telemetry subsystem.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
-    /// Sampling interval; the sliding latency window covers
-    /// `window_slots × interval`.
+    /// Sampling interval; the sliding latency window covers the last
+    /// eight intervals.
     pub interval: Duration,
     /// JSONL time-series destination (`None`: sample in memory only).
     pub out: Option<PathBuf>,
     /// Run label stamped into every sample (e.g. `ddmalloc-w8`).
     pub run: String,
-    /// Sliding-window slot count (minimum 2).
-    pub window_slots: usize,
     /// Per-worker transaction-span ring capacity.
     pub trace_capacity: usize,
 }
@@ -51,7 +61,6 @@ impl Default for ObsConfig {
             interval: Duration::from_millis(10),
             out: None,
             run: String::new(),
-            window_slots: 8,
             trace_capacity: 256,
         }
     }
@@ -59,16 +68,18 @@ impl Default for ObsConfig {
 
 /// Shared telemetry state for one serving run.
 pub struct ServerTelemetry {
-    /// Sharded counter/gauge registry (one shard per worker).
-    pub registry: MetricsRegistry,
     /// Sliding-window latency view; the sampler rotates it every interval.
     pub window: SlidingWindow,
     /// Per-worker transaction span rings plus the shed lane.
     pub tracer: TxTracer,
-    /// Latest heap snapshot each worker published (snapshot-on-read: the
-    /// worker overwrites its slot at transaction boundaries, the sampler
-    /// clones it out; the mutex is uncontended worker-private state).
-    heap_slots: Vec<Mutex<HeapSnapshot>>,
+    /// Latest heap snapshot and report each worker published
+    /// (snapshot-on-read: the worker overwrites its slot at batch
+    /// boundaries, the sampler clones it out; the mutex is uncontended
+    /// worker-private state).
+    slots: Vec<Mutex<WorkerHeapSample>>,
+    /// The network front-end's per-thread counter blocks, once a
+    /// front-end is bound in front of the server.
+    front_end: OnceLock<Arc<[FrontEndBlock]>>,
     /// Minimum wall time between two heap publications from one worker.
     publish_every: Duration,
     run: String,
@@ -78,12 +89,21 @@ impl ServerTelemetry {
     /// Builds the telemetry plane for `workers` worker threads.
     pub fn new(config: &ObsConfig, workers: usize) -> Self {
         ServerTelemetry {
-            registry: MetricsRegistry::new(workers),
-            window: SlidingWindow::new(config.window_slots),
+            window: SlidingWindow::new(WINDOW_SLOTS),
             tracer: TxTracer::new(workers, config.trace_capacity),
-            heap_slots: (0..workers)
-                .map(|_| Mutex::new(HeapSnapshot::default()))
+            slots: (0..workers)
+                .map(|w| {
+                    Mutex::new(WorkerHeapSample {
+                        worker: w as u64,
+                        heap: HeapSnapshot::default(),
+                        report: WorkerReport {
+                            worker: w as u64,
+                            ..WorkerReport::default()
+                        },
+                    })
+                })
                 .collect(),
+            front_end: OnceLock::new(),
             // Publishing at a quarter of the sampling interval keeps every
             // sample fresh without snapshotting on every transaction.
             publish_every: config.interval / 4,
@@ -91,16 +111,31 @@ impl ServerTelemetry {
         }
     }
 
-    /// How often a worker should refresh its heap slot.
+    /// How often a worker should refresh its slot.
     pub fn publish_every(&self) -> Duration {
         self.publish_every
     }
 
-    /// Stores `snap` as worker `worker`'s current heap state.
-    pub fn publish_heap(&self, worker: usize, snap: HeapSnapshot) {
-        if let Some(slot) = self.heap_slots.get(worker) {
-            *slot.lock().expect("heap slot lock") = snap;
+    /// Stores `heap` and `report` as worker `worker`'s current state.
+    pub(crate) fn publish(&self, worker: usize, heap: HeapSnapshot, report: &WorkerReport) {
+        if let Some(slot) = self.slots.get(worker) {
+            let mut slot = slot.lock().expect("worker slot lock");
+            slot.heap = heap;
+            slot.report.clone_from(report);
         }
+    }
+
+    /// Hands the telemetry the counter blocks of the network front-end
+    /// bound in front of this server; every later sample sums them into
+    /// [`ObsSample::front_end`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a front-end was already attached.
+    pub fn attach_front_end(&self, blocks: Arc<[FrontEndBlock]>) {
+        self.front_end
+            .set(blocks)
+            .expect("a server serves behind one front-end");
     }
 
     /// All spans currently retained, oldest first per ring, merged and
@@ -115,6 +150,11 @@ impl ServerTelemetry {
     /// acquisition per shard, not separate `depth()`/`counters()` locks.
     pub(crate) fn sample(&self, queue: &ShardedTxQueue) -> ObsSample {
         let snap = queue.snapshot();
+        let workers: Vec<WorkerHeapSample> = self
+            .slots
+            .iter()
+            .map(|slot| slot.lock().expect("worker slot lock").clone())
+            .collect();
         ObsSample {
             run: self.run.clone(),
             t_ns: self.tracer.now_ns(),
@@ -122,37 +162,12 @@ impl ServerTelemetry {
             submitted: snap.counters.submitted,
             shed: snap.counters.shed,
             shards: snap.shards,
-            completed: self.registry.value("tx_completed").unwrap_or(0),
+            completed: workers.iter().map(|w| w.report.completed).sum(),
             window: self.window.summary(),
-            counters: self.registry.snapshot().samples,
-            workers: self
-                .heap_slots
-                .iter()
-                .enumerate()
-                .map(|(w, slot)| WorkerHeapSample {
-                    worker: w as u64,
-                    heap: slot.lock().expect("heap slot lock").clone(),
-                })
-                .collect(),
+            front_end: self.front_end.get().map(|b| FrontEndCounters::sum(b)),
+            workers,
         }
     }
-}
-
-/// Metric names the workers publish through the registry. Centralized so
-/// the sampler, dashboard and tests agree on spelling.
-pub(crate) mod metric {
-    /// Transactions fully executed (counter, per-worker shard).
-    pub const TX_COMPLETED: &str = "tx_completed";
-    /// Bytes requested from the allocator (counter).
-    pub const BYTES_REQUESTED: &str = "bytes_requested";
-    /// Ops referencing objects the worker never allocated (gauge: each
-    /// worker `set`s its cumulative count, shards sum on read).
-    pub const ORPHAN_OPS: &str = "orphan_ops";
-    /// Live heap bytes at the last published snapshot (gauge).
-    pub const HEAP_BYTES: &str = "heap_bytes";
-    /// Transactions obtained by stealing from another worker's shard
-    /// (counter, charged to the thief's shard).
-    pub const TX_STOLEN: &str = "tx_stolen";
 }
 
 /// One row of the exported time series.
@@ -170,23 +185,29 @@ pub struct ObsSample {
     pub shed: u64,
     /// Per-shard depth, admission, and steal counters, one per worker.
     pub shards: Vec<ShardSample>,
-    /// Cumulative completions at sampling time.
+    /// Completions in the reports the workers last published. Live
+    /// samples lag by at most one publication interval; the closing
+    /// sample is exact.
     pub completed: u64,
     /// Latency quantiles over the sliding window (not since start).
     pub window: LatencySummary,
-    /// Every registered metric, summed across shards.
-    pub counters: Vec<MetricSample>,
-    /// Latest per-worker heap snapshots.
+    /// The network front-end's counters, summed over its threads
+    /// (`None` when no front-end is bound in front of the server).
+    pub front_end: Option<FrontEndCounters>,
+    /// What each worker last published.
     pub workers: Vec<WorkerHeapSample>,
 }
 
-/// A worker's heap state within an [`ObsSample`].
+/// A worker's state within an [`ObsSample`].
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct WorkerHeapSample {
     /// Worker index.
     pub worker: u64,
-    /// The snapshot the worker last published.
+    /// The heap snapshot the worker last published.
     pub heap: HeapSnapshot,
+    /// The worker's counters as of that publication; after the drain,
+    /// the report the worker returned.
+    pub report: WorkerReport,
 }
 
 /// Plain-text dashboard rendering of one sample, built from the
@@ -309,27 +330,5 @@ impl Sampler {
     pub(crate) fn stop(self) -> Vec<ObsSample> {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("obs sampler panicked")
-    }
-}
-
-/// Pre-resolved metric handles for one worker's hot path.
-pub(crate) struct WorkerMetrics {
-    pub completed: webmm_obs::MetricHandle,
-    pub bytes_requested: webmm_obs::MetricHandle,
-    pub orphan_ops: webmm_obs::MetricHandle,
-    pub heap_bytes: webmm_obs::MetricHandle,
-    pub stolen: webmm_obs::MetricHandle,
-}
-
-impl WorkerMetrics {
-    pub(crate) fn new(telemetry: &ServerTelemetry, worker: usize) -> Self {
-        let reg = &telemetry.registry;
-        WorkerMetrics {
-            completed: reg.handle(metric::TX_COMPLETED, MetricKind::Counter, worker),
-            bytes_requested: reg.handle(metric::BYTES_REQUESTED, MetricKind::Counter, worker),
-            orphan_ops: reg.handle(metric::ORPHAN_OPS, MetricKind::Gauge, worker),
-            heap_bytes: reg.handle(metric::HEAP_BYTES, MetricKind::Gauge, worker),
-            stolen: reg.handle(metric::TX_STOLEN, MetricKind::Counter, worker),
-        }
     }
 }

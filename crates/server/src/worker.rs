@@ -20,11 +20,12 @@
 //! cleanup is a generation bump), finished op buffers return to the
 //! [`TxBufferPool`] instead of being dropped, and timing/telemetry is
 //! amortized — one timestamp per drained batch on the dequeue side, one
-//! per transaction at completion, and metric flushes once per batch.
+//! per transaction at completion, and telemetry publication throttled
+//! to a few times per sampling interval.
 
 use crate::pool::TxBufferPool;
 use crate::shard::{Fill, ShardedTxQueue};
-use crate::telemetry::{ServerTelemetry, WorkerMetrics};
+use crate::telemetry::ServerTelemetry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -224,11 +225,11 @@ impl TxExecutor {
 ///
 /// With telemetry attached, every completion also lands in the sliding
 /// latency window (relaxed atomics) and the worker's span ring (reusing
-/// the completion timestamp); counter flushes into the sharded metric
-/// registry happen once per batch, and the heap snapshot slot is
-/// refreshed at batch boundaries, throttled to
+/// the completion timestamp). The worker's slot (heap snapshot plus its
+/// [`WorkerReport`]) is refreshed at batch boundaries, throttled to
 /// [`ServerTelemetry::publish_every`] so observation cost stays off the
-/// per-transaction path.
+/// per-transaction path, and once more after the drain with the report
+/// this function returns.
 pub(crate) fn run(
     worker: u64,
     kind: AllocatorKind,
@@ -239,9 +240,6 @@ pub(crate) fn run(
 ) -> (WorkerReport, LatencyHistogram) {
     let mut state = TxExecutor::new(worker, kind, static_bytes);
     let mut latencies = LatencyHistogram::new();
-    let metrics = telemetry
-        .as_deref()
-        .map(|t| WorkerMetrics::new(t, worker as usize));
     let mut last_publish: Option<Instant> = None;
     let mut pending: VecDeque<crate::queue::QueuedTx> = VecDeque::new();
     'serve: loop {
@@ -249,20 +247,13 @@ pub(crate) fn run(
             match queue.pop_batch(worker as usize, &mut pending) {
                 Fill::Closed => break 'serve,
                 Fill::Own(_) => {}
-                Fill::Stolen(n) => {
-                    state.report.steals += n as u64;
-                    if let Some(m) = metrics.as_ref() {
-                        m.stolen.add(n as u64);
-                    }
-                }
+                Fill::Stolen(n) => state.report.steals += n as u64,
             }
         }
         // One timestamp for the whole drained batch: every transaction in
         // it was enqueued before this instant, so per-tx queue wait is
         // derived by subtraction instead of a second clock read each.
         let batch_start = Instant::now();
-        let mut batch_completed = 0u64;
-        let mut batch_bytes = 0u64;
         while let Some(queued) = pending.pop_front() {
             let queue_wait = batch_start
                 .saturating_duration_since(queued.enqueued)
@@ -271,7 +262,6 @@ pub(crate) fn run(
             let bytes_before = state.heap.stats().bytes_requested;
             state.execute(&queued.tx.ops);
             state.report.completed += 1;
-            batch_completed += 1;
             // The only per-transaction clock read: completion time, from
             // which total latency and the span timestamps all derive.
             let done = Instant::now();
@@ -280,13 +270,12 @@ pub(crate) fn run(
                 .as_nanos()
                 .min(u128::from(u64::MAX)) as u64;
             latencies.record(ns);
-            let tx_bytes = state
-                .heap
-                .stats()
-                .bytes_requested
-                .saturating_sub(bytes_before);
-            batch_bytes += tx_bytes;
             if let Some(t) = telemetry.as_deref() {
+                let tx_bytes = state
+                    .heap
+                    .stats()
+                    .bytes_requested
+                    .saturating_sub(bytes_before);
                 t.window.record(ns);
                 let complete_ns = t.tracer.ns_of(done);
                 let dequeue_ns = complete_ns.saturating_sub(ns.saturating_sub(queue_wait));
@@ -307,29 +296,31 @@ pub(crate) fn run(
             // refill — the transaction's only heap allocation, recycled.
             pool.put(queued.tx.ops);
         }
-        // Counter flushes and heap publication amortize over the batch.
-        if let (Some(t), Some(m)) = (telemetry.as_deref(), metrics.as_ref()) {
-            m.completed.add(batch_completed);
-            m.bytes_requested.add(batch_bytes);
+        // Publication amortizes over the batch and the throttle.
+        if let Some(t) = telemetry.as_deref() {
             if last_publish.is_none_or(|at| batch_start.duration_since(at) >= t.publish_every()) {
-                let snap = state.heap.heap_snapshot();
-                m.heap_bytes.set(snap.heap_bytes);
-                m.orphan_ops.set(state.report.orphan_ops);
-                t.publish_heap(worker as usize, snap);
+                state.publish(Some(t), &queue);
                 last_publish = Some(batch_start);
             }
         }
     }
-    // Final publication so post-drain samples see the settled heap.
-    if let (Some(t), Some(m)) = (telemetry.as_deref(), metrics.as_ref()) {
-        let snap = state.heap.heap_snapshot();
-        m.heap_bytes.set(snap.heap_bytes);
-        m.orphan_ops.set(state.report.orphan_ops);
-        t.publish_heap(worker as usize, snap);
-    }
-    state.report.sim_instructions = state.port.instructions();
-    state.report.parks = queue.parks(worker as usize);
+    // Final publication: the closing sample reads the returned report.
+    state.publish(telemetry.as_deref(), &queue);
     (state.report, latencies)
+}
+
+impl TxExecutor {
+    /// Brings the counters the serving loop keeps outside the report up
+    /// to date and, with telemetry, publishes the report with a heap
+    /// snapshot into this worker's slot.
+    fn publish(&mut self, telemetry: Option<&ServerTelemetry>, queue: &ShardedTxQueue) {
+        let worker = self.report.worker as usize;
+        self.report.sim_instructions = self.port.instructions();
+        self.report.parks = queue.parks(worker);
+        if let Some(t) = telemetry {
+            t.publish(worker, self.heap.heap_snapshot(), &self.report);
+        }
+    }
 }
 
 #[cfg(test)]

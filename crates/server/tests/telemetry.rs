@@ -71,6 +71,14 @@ fn final_sample_reflects_settled_server() {
     assert_eq!(last.workers.len(), WORKERS);
     let per_worker_completed: u64 = report.per_worker.iter().map(|w| w.completed).sum();
     assert_eq!(per_worker_completed, report.completed);
+    // Each worker's last publication is the report it returned: the live
+    // view and the drain report are one record, not two copies.
+    for (sampled, returned) in last.workers.iter().zip(&report.per_worker) {
+        assert_eq!(sampled.report.completed, returned.completed);
+        assert_eq!(sampled.report.steals, returned.steals);
+        assert_eq!(sampled.report.orphan_ops, returned.orphan_ops);
+        assert_eq!(&sampled.report, returned, "worker {}", sampled.worker);
+    }
     for w in &last.workers {
         let served = report
             .per_worker

@@ -191,9 +191,6 @@ impl MemHierarchy {
                 ev.l2_misses += 1;
                 ev.bus_txns += 1;
                 ev.bus_bytes += self.line_bytes;
-                if std::env::var_os("WEBMM_MISS_LOG").is_some() && ctx == 0 {
-                    eprintln!("MISS {:x} {:?} {:?}", addr.raw(), kind, cat);
-                }
             }
         }
         if l2_result.evicted_dirty.is_some() {

@@ -35,18 +35,31 @@ fn parse_duration(v: &str) -> Option<Duration> {
     }
 }
 
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("usage: native_serving [--obs-interval DUR] [--obs-out FILE]   (DUR like 10ms, 1s)");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut obs_interval: Option<Duration> = None;
     let mut obs_out: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .unwrap_or_else(|| usage(&format!("missing value for {flag}")))
+        };
         match flag.as_str() {
             "--obs-interval" => {
-                let v = it.next().expect("--obs-interval takes a duration");
-                obs_interval = Some(parse_duration(&v).expect("duration like 10ms or 1s"));
+                let v = value();
+                obs_interval = Some(
+                    parse_duration(&v)
+                        .unwrap_or_else(|| usage(&format!("bad --obs-interval `{v}`"))),
+                );
             }
-            "--obs-out" => obs_out = Some(it.next().expect("--obs-out takes a path")),
-            other => panic!("unknown flag `{other}` (try --obs-interval, --obs-out)"),
+            "--obs-out" => obs_out = Some(value()),
+            other => usage(&format!("unknown flag `{other}`")),
         }
     }
     if obs_out.is_some() && obs_interval.is_none() {

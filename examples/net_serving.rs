@@ -26,20 +26,25 @@ use webmm::net::{
 use webmm::server::{AdmissionPolicy, Server, ServerConfig};
 use webmm::workload::phpbb;
 
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("usage: net_serving [--open RATE_TX_PER_SEC]   (RATE > 0)");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut rate: Option<f64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--open" => {
-                let v = it.next().expect("--open takes a tx/sec rate");
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| usage("--open takes a tx/sec rate"));
                 let parsed = v.parse().ok().filter(|r: &f64| *r > 0.0);
-                rate = Some(parsed.unwrap_or_else(|| {
-                    eprintln!("bad --open `{v}` (usage: --open RATE_TX_PER_SEC, RATE > 0)");
-                    std::process::exit(2);
-                }));
+                rate = Some(parsed.unwrap_or_else(|| usage(&format!("bad --open `{v}`"))));
             }
-            other => panic!("unknown flag `{other}` (try --open RATE)"),
+            other => usage(&format!("unknown flag `{other}`")),
         }
     }
 

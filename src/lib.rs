@@ -20,8 +20,8 @@
 //!   throughput model;
 //! * [`profiler`] — the paper's measurement lenses (CPU breakdowns,
 //!   hardware-event deltas, memory consumption);
-//! * [`obs`] — the live versions of those lenses: lock-free metrics
-//!   registry, sliding-window latency quantiles, per-allocator heap
+//! * [`obs`] — the live versions of those lenses: per-thread typed
+//!   counters, sliding-window latency quantiles, per-allocator heap
 //!   telemetry and transaction span tracing, sampled mid-run and
 //!   exported as JSONL time series;
 //! * [`server`] — the native serving harness: the same allocators on real
