@@ -210,7 +210,7 @@ impl SizeClasses {
     ///
     /// This is the allocator's hottest lookup: small sizes are one
     /// branch-free table load, larger ones a closed-form shift or divide
-    /// ([`Tail`]). Must agree with [`SizeClasses::class_of_reference`]
+    /// (`Tail`). Must agree with [`SizeClasses::class_of_reference`]
     /// for every size — the test suite checks this exhaustively.
     ///
     /// # Panics

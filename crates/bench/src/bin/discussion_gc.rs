@@ -2,7 +2,7 @@
 //!
 //! The paper argues that copying-GC virtual machines "allocate heap memory
 //! for newly created objects in a similar way to the region-based
-//! allocators ... [and] may suffer from the increased bus traffic on
+//! allocators ... \[and\] may suffer from the increased bus traffic on
 //! multicore processors, because they cannot reuse the memory locations
 //! used by already-dead objects", and that techniques like MicroPhase
 //! (Xian et al.) — "aggressively invoking a garbage collection before the

@@ -3,7 +3,7 @@
 //! region-based allocator, split into memory management and the rest.
 //!
 //! The paper's motivating observation: the region allocator "significantly
-//! speeds up the memory management functions, [but] degraded the
+//! speeds up the memory management functions, \[but\] degraded the
 //! performance of the rest of the program".
 
 use webmm_alloc::AllocatorKind;

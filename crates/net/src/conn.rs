@@ -1,13 +1,23 @@
 //! The per-connection serving loop.
 //!
-//! Each accepted socket is served by one handler thread at a time:
-//! read a chunk, decode every complete frame in the reassembly buffer
-//! (partial frames wait for the next chunk — the decoder is built for
-//! split reads), answer each request into a write buffer, flush once per
-//! chunk. The read and write buffers belong to the handler and are
-//! reused across requests *and* across connections, and decoded op
-//! vectors come from the server's [`TxBufferPool`] — the network path
-//! rides the same recycled-buffer loop as the in-process generators.
+//! Each accepted socket is served by one handler thread at a time. The
+//! handler reads straight into the free tail of its reassembly window,
+//! decodes every complete frame pending there in place (a partial frame
+//! waits for the next read — the decoder is built for split reads),
+//! answers each request into a write buffer, and flushes once per read.
+//! Decoding a `Submit` also sums the heap bytes it requests, so a
+//! request's bytes are walked once between the socket and admission.
+//! The window and the write buffer belong to the handler and are reused
+//! across requests *and* across connections, and decoded op vectors
+//! come from the server's [`TxBufferPool`] — the network path rides the
+//! same recycled-buffer loop as the in-process generators.
+//!
+//! The window is never drained by copying: consumed bytes are skipped,
+//! and an empty window rewinds to its start for free. A pending partial
+//! frame slides to the front only when the tail is full, and the window
+//! doubles only when one incomplete frame fills it — at most to
+//! `max_frame + HEADER_LEN` bytes, since the decoder refuses a longer
+//! announcement from the length prefix alone.
 //!
 //! Back-pressure falls out of the blocking design: under the `Block`
 //! admission policy a full ingress queue stalls the handler inside
@@ -24,7 +34,7 @@
 //! [`Status::TooLarge`] *before* admission, so a hostile `Malloc` can
 //! not drive a worker heap into its out-of-memory panic.
 
-use crate::frame::{encode, Decoder, Frame, Status, TxBody};
+use crate::frame::{encode, Decoder, Frame, Status, TxBody, HEADER_LEN};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,21 +85,49 @@ enum Flow {
     CloseError,
 }
 
+/// Initial size of a handler's reassembly window: room for several of
+/// the benchmark's frames (15–16 KB each) in one read.
+const INITIAL_WINDOW: usize = 64 * 1024;
+
 /// Reusable per-handler buffers, kept across connections so a busy
 /// front-end allocates nothing per request in steady state.
 pub(crate) struct ConnBuffers {
-    rbuf: Vec<u8>,
+    /// Reassembly window, kept at full length: bytes `start..end` were
+    /// read and not yet decoded, and `read` fills `end..`.
+    window: Vec<u8>,
+    start: usize,
+    end: usize,
     wbuf: Vec<u8>,
-    chunk: Box<[u8; 16 * 1024]>,
 }
 
 impl ConnBuffers {
     pub(crate) fn new() -> Self {
         ConnBuffers {
-            rbuf: Vec::with_capacity(16 * 1024),
+            window: vec![0; INITIAL_WINDOW],
+            start: 0,
+            end: 0,
             wbuf: Vec::with_capacity(4 * 1024),
-            chunk: Box::new([0u8; 16 * 1024]),
         }
+    }
+
+    /// The window's free tail, made non-empty first if the window is
+    /// full: the pending bytes slide to the front, or — when one
+    /// incomplete frame fills the whole window — the window doubles, up
+    /// to `max_frame + HEADER_LEN` (such a frame announced at most
+    /// `max_frame` body bytes, or the decoder would have refused it).
+    fn tail(&mut self, max_frame: usize) -> &mut [u8] {
+        if self.end == self.window.len() {
+            if self.start > 0 {
+                self.window.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                let grown = (2 * self.window.len()).min(max_frame.saturating_add(HEADER_LEN));
+                debug_assert!(grown > self.window.len(), "a full window holds a frame");
+                self.window.resize(grown, 0);
+            }
+        }
+        &mut self.window[self.end..]
     }
 }
 
@@ -108,15 +146,17 @@ pub(crate) fn serve_conn(
         bump(&t.conns_dropped, 1);
         return;
     }
-    bufs.rbuf.clear();
+    bufs.start = 0;
+    bufs.end = 0;
     bufs.wbuf.clear();
+    let max_frame = ctx.decoder.max_frame();
     loop {
         if ctx.draining.load(Ordering::Acquire) {
-            // Every response owed so far was flushed after its chunk;
+            // Every response owed so far was flushed after its read;
             // drain just stops reading new requests.
             break;
         }
-        let n = match stream.read(&mut bufs.chunk[..]) {
+        let n = match stream.read(bufs.tail(max_frame)) {
             Ok(0) => break, // peer closed, or drain shut our read side
             Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -129,15 +169,14 @@ pub(crate) fn serve_conn(
             }
         };
         bump(&t.bytes_in, n as u64);
-        bufs.rbuf.extend_from_slice(&bufs.chunk[..n]);
-        let mut consumed = 0usize;
+        bufs.end += n;
         let mut flow = Flow::Continue;
         loop {
-            match ctx.decoder.decode(&bufs.rbuf[consumed..]) {
-                Ok(Some((frame, used))) => {
-                    consumed += used;
+            match ctx.decoder.decode_sized(&bufs.window[bufs.start..bufs.end]) {
+                Ok(Some((frame, used, requested))) => {
+                    bufs.start += used;
                     bump(&t.frames_in, 1);
-                    flow = handle_frame(frame, ctx, t, &mut bufs.wbuf);
+                    flow = handle_frame(frame, requested, ctx, t, &mut bufs.wbuf);
                     if !matches!(flow, Flow::Continue) {
                         break;
                     }
@@ -150,9 +189,12 @@ pub(crate) fn serve_conn(
                 }
             }
         }
-        bufs.rbuf.drain(..consumed);
+        if bufs.start == bufs.end {
+            bufs.start = 0;
+            bufs.end = 0;
+        }
         // Flush what we owe even on a close path, so in-flight responses
-        // are never lost to a later protocol error in the same chunk.
+        // are never lost to a later protocol error in the same read.
         if !flush(&mut stream, &mut bufs.wbuf, t) {
             bump(&t.conns_dropped, 1);
             return;
@@ -182,7 +224,15 @@ fn flush(stream: &mut TcpStream, wbuf: &mut Vec<u8>, t: &FrontEndBlock) -> bool 
     ok
 }
 
-fn handle_frame(frame: Frame, ctx: &ConnShared, t: &FrontEndBlock, wbuf: &mut Vec<u8>) -> Flow {
+/// Answers one decoded frame; `requested` is the heap bytes a `Submit`
+/// body asks for, summed by the decoder.
+fn handle_frame(
+    frame: Frame,
+    requested: u64,
+    ctx: &ConnShared,
+    t: &FrontEndBlock,
+    wbuf: &mut Vec<u8>,
+) -> Flow {
     match frame {
         Frame::Submit {
             request_id,
@@ -190,7 +240,7 @@ fn handle_frame(frame: Frame, ctx: &ConnShared, t: &FrontEndBlock, wbuf: &mut Ve
             body,
         } => {
             bump(&t.requests, 1);
-            let status = submit(ctx, affinity, body);
+            let status = submit(ctx, affinity, body, requested);
             count_status(t, status);
             encode(&Frame::Status { request_id, status }, wbuf);
             bump(&t.frames_out, 1);
@@ -211,10 +261,11 @@ fn handle_frame(frame: Frame, ctx: &ConnShared, t: &FrontEndBlock, wbuf: &mut Ve
     }
 }
 
-/// Turns one submit body into an admission outcome, enforcing the size
-/// cap and the drain state before the ingress queue sees anything.
-fn submit(ctx: &ConnShared, affinity: Option<u64>, body: TxBody) -> Status {
-    if body.requested_bytes() > ctx.max_tx_bytes {
+/// Turns one submit body, which requests `requested` heap bytes, into
+/// an admission outcome, enforcing the size cap and the drain state
+/// before the ingress queue sees anything.
+fn submit(ctx: &ConnShared, affinity: Option<u64>, body: TxBody, requested: u64) -> Status {
+    if requested > ctx.max_tx_bytes {
         recycle(ctx, body);
         return Status::TooLarge;
     }
@@ -253,5 +304,106 @@ fn submit(ctx: &ConnShared, affinity: Option<u64>, body: TxBody) -> Status {
 fn recycle(ctx: &ConnShared, body: TxBody) {
     if let TxBody::Ops(ops) = body {
         ctx.pool.put(ops);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::DEFAULT_MAX_FRAME;
+    use std::net::{Shutdown, TcpListener};
+    use webmm_server::{Server, ServerConfig};
+
+    /// Serves one loopback connection whose peer writes `bytes` and then
+    /// waits for the handler to close; returns the handler's buffers and
+    /// counters.
+    fn serve(bytes: Vec<u8>) -> (ConnBuffers, FrontEndBlock) {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            static_bytes: 1 << 16,
+            ..ServerConfig::default()
+        });
+        let pool = server.buffer_pool();
+        let ctx = ConnShared {
+            ingress: server.ingress(),
+            pool: Arc::clone(&pool),
+            decoder: Decoder::new().with_pool(pool),
+            next_tx_id: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            idle_timeout: Duration::from_secs(10),
+            max_tx_bytes: u64::MAX,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let peer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            // A handler that drops the connection early cuts this write
+            // short; that is the case under test, not a failure.
+            let _ = s.write_all(&bytes);
+            let _ = s.shutdown(Shutdown::Write);
+            let _ = s.read_to_end(&mut Vec::new());
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let mut bufs = ConnBuffers::new();
+        let t = FrontEndBlock::default();
+        serve_conn(stream, &ctx, &mut bufs, &t);
+        peer.join().expect("peer thread");
+        let report = server.finish();
+        assert_eq!(report.completed, t.accepted.load(Ordering::Relaxed));
+        (bufs, t)
+    }
+
+    /// A `Submit` frame of `mallocs` 64-byte allocations and an `EndTx`.
+    fn submit_frame(request_id: u64, mallocs: u64, out: &mut Vec<u8>) {
+        let mut ops: Vec<WorkOp> = (0..mallocs)
+            .map(|id| WorkOp::Malloc { id, size: 64 })
+            .collect();
+        ops.push(WorkOp::EndTx);
+        encode(
+            &Frame::Submit {
+                request_id,
+                affinity: None,
+                body: TxBody::Ops(ops),
+            },
+            out,
+        );
+    }
+
+    #[test]
+    fn a_length_prefix_above_max_frame_is_refused_without_growing_the_window() {
+        let announced = u32::try_from(DEFAULT_MAX_FRAME + 1).expect("fits the prefix");
+        let mut bytes = announced.to_le_bytes().to_vec();
+        bytes.resize(HEADER_LEN + 3 * INITIAL_WINDOW, 0x01);
+        let (bufs, t) = serve(bytes);
+        assert_eq!(bufs.window.len(), INITIAL_WINDOW);
+        assert_eq!(t.protocol_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(t.conns_dropped.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_window_doubles_it() {
+        let mut bytes = Vec::new();
+        submit_frame(1, 5_000, &mut bytes);
+        assert!(bytes.len() > INITIAL_WINDOW && bytes.len() < 2 * INITIAL_WINDOW);
+        encode(&Frame::Goodbye, &mut bytes);
+        let (bufs, t) = serve(bytes);
+        assert_eq!(bufs.window.len(), 2 * INITIAL_WINDOW);
+        assert_eq!(t.accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(t.conns_closed.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn frames_straddling_the_window_end_slide_instead_of_growing() {
+        // Three 40 KB frames: whenever the window is full it holds a
+        // whole frame, so a partial one behind it slides to the front.
+        let mut bytes = Vec::new();
+        for id in 1..=3 {
+            submit_frame(id, 2_300, &mut bytes);
+        }
+        encode(&Frame::Goodbye, &mut bytes);
+        let (bufs, t) = serve(bytes);
+        assert_eq!(bufs.window.len(), INITIAL_WINDOW);
+        assert_eq!(t.accepted.load(Ordering::Relaxed), 3);
+        assert_eq!(t.conns_closed.load(Ordering::Relaxed), 1);
     }
 }

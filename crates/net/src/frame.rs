@@ -26,6 +26,9 @@
 //! by tag, one length check and two loads at fixed offsets; encoding is
 //! two stores into a 17-byte window and an advance by the record
 //! length. Header fields go through a checked field-by-field reader.
+//! The server's decode pass also sums the heap bytes the ops request
+//! (the [`TxBody::requested_bytes`] quantity its size cap checks), so
+//! the op list is walked once between the socket and admission.
 //!
 //! When a [`TxBufferPool`] is attached, decoded op vectors are drawn
 //! from it — the network path joins the same recycled-buffer loop the
@@ -355,10 +358,17 @@ fn encode_ops(ops: &[WorkOp], out: &mut Vec<u8>) {
 }
 
 /// Decodes `count` op records from the front of `body` into `ops` and
-/// returns the bytes they took. Per op: one [`OP_LEN`] lookup on the
-/// tag, one length check, two fixed-offset `u64` loads and a push.
-fn decode_ops(body: &[u8], count: usize, ops: &mut Vec<WorkOp>) -> Result<usize, FrameError> {
+/// returns the bytes they took with the heap bytes the ops request (the
+/// [`TxBody::requested_bytes`] sum, taken in the same pass). Per op: one
+/// [`OP_LEN`] lookup on the tag, one length check, two fixed-offset
+/// `u64` loads, a masked saturating add and a push.
+fn decode_ops(
+    body: &[u8],
+    count: usize,
+    ops: &mut Vec<WorkOp>,
+) -> Result<(usize, u64), FrameError> {
     let mut rest = body;
+    let mut requested = 0u64;
     for _ in 0..count {
         let Some(&tag) = rest.first() else {
             return Err(FrameError::Corrupt { need: 1, have: 0 });
@@ -395,6 +405,11 @@ fn decode_ops(body: &[u8], count: usize, ops: &mut Vec<WorkOp>) -> Result<usize,
         }
         let a = u64::from_le_bytes(w[1..9].try_into().expect("8 bytes"));
         let b = u64::from_le_bytes(w[9..17].try_into().expect("8 bytes"));
+        // `b` is a requested size only in a Malloc or a Realloc: an
+        // all-ones mask taken from the tag keeps it, and the sum turns
+        // on no branch.
+        let sized = u64::from(tag == OP_MALLOC) | u64::from(tag == OP_REALLOC);
+        requested = requested.saturating_add(b & sized.wrapping_neg());
         ops.push(match tag {
             OP_MALLOC => WorkOp::Malloc { id: a, size: b },
             OP_FREE => WorkOp::Free { id: a },
@@ -410,7 +425,7 @@ fn decode_ops(body: &[u8], count: usize, ops: &mut Vec<WorkOp>) -> Result<usize,
         });
         rest = &rest[len..];
     }
-    Ok(body.len() - rest.len())
+    Ok((body.len() - rest.len(), requested))
 }
 
 /// Bounds-checked reader over one frame body.
@@ -497,7 +512,7 @@ impl Decoder {
         self
     }
 
-    fn max_frame(&self) -> usize {
+    pub(crate) fn max_frame(&self) -> usize {
         self.max_frame.unwrap_or(DEFAULT_MAX_FRAME)
     }
 
@@ -513,6 +528,19 @@ impl Decoder {
     ///
     /// Every [`FrameError`] variant; never panics, for any input.
     pub fn decode(&self, buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+        Ok(self
+            .decode_sized(buf)?
+            .map(|(frame, used, _)| (frame, used)))
+    }
+
+    /// [`Decoder::decode`], also returning the heap bytes the frame's
+    /// transaction requests: [`TxBody::requested_bytes`] of a `Submit`
+    /// body, summed while its ops are decoded, and 0 for every other
+    /// frame.
+    pub(crate) fn decode_sized(
+        &self,
+        buf: &[u8],
+    ) -> Result<Option<(Frame, usize, u64)>, FrameError> {
         if buf.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -533,16 +561,17 @@ impl Decoder {
             buf: &buf[HEADER_LEN..HEADER_LEN + len],
             at: 0,
         };
-        let frame = self.decode_body(&mut body)?;
+        let (frame, requested) = self.decode_body(&mut body)?;
         if body.remaining() > 0 {
             return Err(FrameError::TrailingBytes {
                 extra: body.remaining(),
             });
         }
-        Ok(Some((frame, HEADER_LEN + len)))
+        Ok(Some((frame, HEADER_LEN + len, requested)))
     }
 
-    fn decode_body(&self, body: &mut Body<'_>) -> Result<Frame, FrameError> {
+    /// Decodes one body into its frame and the heap bytes it requests.
+    fn decode_body(&self, body: &mut Body<'_>) -> Result<(Frame, u64), FrameError> {
         match body.u8()? {
             TAG_SUBMIT => {
                 let request_id = body.u64()?;
@@ -551,11 +580,14 @@ impl Decoder {
                 } else {
                     None
                 };
-                let tx_body = match body.u8()? {
-                    0 => TxBody::Count {
-                        ops: body.u32()?,
-                        size: body.u32()?,
-                    },
+                let (tx_body, requested) = match body.u8()? {
+                    0 => {
+                        let (ops, size) = (body.u32()?, body.u32()?);
+                        (
+                            TxBody::Count { ops, size },
+                            u64::from(ops) * u64::from(size),
+                        )
+                    }
                     1 => {
                         let count = body.u32()? as usize;
                         // Every op costs at least one tag byte, so a count
@@ -573,26 +605,28 @@ impl Decoder {
                             None => Vec::new(),
                         };
                         ops.reserve(count);
-                        body.at += decode_ops(&body.buf[body.at..], count, &mut ops)?;
-                        TxBody::Ops(ops)
+                        let (used, requested) = decode_ops(&body.buf[body.at..], count, &mut ops)?;
+                        body.at += used;
+                        (TxBody::Ops(ops), requested)
                     }
                     t => return Err(FrameError::BadTag(t)),
                 };
-                Ok(Frame::Submit {
+                let frame = Frame::Submit {
                     request_id,
                     affinity,
                     body: tx_body,
-                })
+                };
+                Ok((frame, requested))
             }
-            TAG_PING => Ok(Frame::Ping),
-            TAG_GOODBYE => Ok(Frame::Goodbye),
+            TAG_PING => Ok((Frame::Ping, 0)),
+            TAG_GOODBYE => Ok((Frame::Goodbye, 0)),
             TAG_STATUS => {
                 let request_id = body.u64()?;
                 let code = body.u8()?;
                 let status = Status::from_code(code).ok_or(FrameError::BadStatus(code))?;
-                Ok(Frame::Status { request_id, status })
+                Ok((Frame::Status { request_id, status }, 0))
             }
-            TAG_PONG => Ok(Frame::Pong),
+            TAG_PONG => Ok((Frame::Pong, 0)),
             t => Err(FrameError::BadTag(t)),
         }
     }
@@ -601,6 +635,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(frame: &Frame) {
         let mut buf = Vec::new();
@@ -748,6 +783,97 @@ mod tests {
             WorkOp::Realloc { id: 1, new_size: 5 },
         ]);
         assert_eq!(body.requested_bytes(), u64::MAX);
+    }
+
+    /// A size that is small, arbitrary, or half of 2^64 (two of which
+    /// saturate the sum).
+    fn size() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4096, any::<u64>(), Just(1u64 << 63)]
+    }
+
+    fn any_op() -> impl Strategy<Value = WorkOp> {
+        prop_oneof![
+            (any::<u64>(), size()).prop_map(|(id, size)| WorkOp::Malloc { id, size }),
+            any::<u64>().prop_map(|id| WorkOp::Free { id }),
+            (any::<u64>(), size()).prop_map(|(id, new_size)| WorkOp::Realloc { id, new_size }),
+            (any::<u64>(), any::<bool>()).prop_map(|(id, write)| WorkOp::Touch { id, write }),
+            any::<u64>().prop_map(|instr| WorkOp::Compute { instr }),
+            (any::<u64>(), size()).prop_map(|(offset, len)| WorkOp::StaticTouch { offset, len }),
+            Just(WorkOp::EndTx),
+        ]
+    }
+
+    fn any_submit_wire() -> impl Strategy<Value = Vec<u8>> {
+        let body = prop_oneof![
+            1 => (any::<u32>(), any::<u32>()).prop_map(|(ops, size)| TxBody::Count { ops, size }),
+            3 => proptest::collection::vec(any_op(), 0..24).prop_map(TxBody::Ops),
+        ];
+        (any::<u64>(), any::<bool>(), any::<u64>(), body).prop_map(
+            |(request_id, has_affinity, key, body)| {
+                let mut wire = Vec::new();
+                let frame = Frame::Submit {
+                    request_id,
+                    affinity: has_affinity.then_some(key),
+                    body,
+                };
+                encode(&frame, &mut wire);
+                wire
+            },
+        )
+    }
+
+    /// The size `decode_sized` returns with a frame against the
+    /// `requested_bytes` oracle; `false` when `wire` is not a `Submit`.
+    fn size_matches_oracle(wire: &[u8]) -> bool {
+        let Ok(Some((frame, used, requested))) = Decoder::new().decode_sized(wire) else {
+            return false;
+        };
+        assert_eq!(used, wire.len());
+        let Frame::Submit { body, .. } = frame else {
+            assert_eq!(requested, 0, "only a Submit requests bytes");
+            return false;
+        };
+        assert_eq!(requested, body.requested_bytes(), "{body:?}");
+        true
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The size summed in the decode pass is the oracle's, for
+        /// every decodable `Submit` — as encoded, and after one byte of
+        /// it is overwritten.
+        #[test]
+        fn decode_pass_size_equals_requested_bytes(
+            wire in any_submit_wire(),
+            at_seed in any::<u64>(),
+            byte in any::<u8>(),
+        ) {
+            prop_assert!(size_matches_oracle(&wire));
+            let mut hit = wire.clone();
+            hit[(at_seed % wire.len() as u64) as usize] = byte;
+            // The overwritten frame may no longer decode, or no longer be
+            // a `Submit`; when it is one, its size must still match.
+            size_matches_oracle(&hit);
+        }
+    }
+
+    #[test]
+    fn decode_pass_size_saturates_like_the_oracle() {
+        let wire = submit_wire(&[
+            WorkOp::Malloc {
+                id: 1,
+                size: 1 << 63,
+            },
+            WorkOp::Malloc {
+                id: 2,
+                size: 1 << 63,
+            },
+            WorkOp::EndTx,
+        ]);
+        let (_, _, requested) = Decoder::new().decode_sized(&wire).unwrap().unwrap();
+        assert_eq!(requested, u64::MAX);
+        assert!(size_matches_oracle(&wire));
     }
 
     /// Wire offset of the op count in a `Submit` without affinity:

@@ -355,14 +355,4 @@ impl NetReport {
             && self.server.shed == self.rejected + self.shed_accepted
             && self.server.submitted == self.server.completed + self.server.shed
     }
-
-    /// Pretty-printed JSON rendering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails (it cannot for this type).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("NetReport serializes")
-    }
 }

@@ -227,33 +227,159 @@ fn sizes_that_wrap_the_byte_sum_are_refused_not_executed() {
         },
         &mut wire,
     );
-    let mut stream = TcpStream::connect(tier.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
+    let mut stream = raw_conn(&tier);
     stream.write_all(&wire).expect("send the frame");
-    let (mut rbuf, mut chunk) = (Vec::new(), [0u8; 64]);
-    let reply = loop {
-        if let Some((frame, _)) = Decoder::new().decode(&rbuf).expect("well-formed reply") {
-            break frame;
-        }
-        let n = stream.read(&mut chunk).expect("read the reply");
-        assert!(n > 0, "server closed before replying");
-        rbuf.extend_from_slice(&chunk[..n]);
-    };
     assert_eq!(
-        reply,
+        next_frame(&mut stream, &mut Vec::new()),
         Frame::Status {
             request_id: 1,
             status: Status::TooLarge
         }
     );
-    wire.clear();
-    encode(&Frame::Goodbye, &mut wire);
-    stream.write_all(&wire).expect("send goodbye");
+    say_goodbye(&mut stream);
     let report = tier.finish();
     assert_eq!(report.oversized, 1);
     assert_eq!(report.server.submitted, 0, "nothing may reach the queue");
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
+}
+
+/// A raw client socket to `tier`, bounded so a missing reply fails the
+/// test instead of hanging it.
+fn raw_conn(tier: &NetServer) -> TcpStream {
+    let stream = TcpStream::connect(tier.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
+/// Reads the next frame the server sends; `rbuf` carries bytes read
+/// past it over to the next call.
+fn next_frame(stream: &mut TcpStream, rbuf: &mut Vec<u8>) -> Frame {
+    let mut chunk = [0u8; 64];
+    loop {
+        if let Some((frame, used)) = Decoder::new().decode(rbuf).expect("well-formed reply") {
+            rbuf.drain(..used);
+            return frame;
+        }
+        let n = stream.read(&mut chunk).expect("read the reply");
+        assert!(n > 0, "server closed before replying");
+        rbuf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+fn say_goodbye(stream: &mut TcpStream) {
+    let mut wire = Vec::new();
+    encode(&Frame::Goodbye, &mut wire);
+    stream.write_all(&wire).expect("send goodbye");
+}
+
+/// The wire bytes of a `Submit` carrying `mallocs` 64-byte allocations
+/// and an `EndTx`, appended to `wire`.
+fn submit_mallocs(request_id: u64, mallocs: u64, wire: &mut Vec<u8>) {
+    let mut ops: Vec<WorkOp> = (0..mallocs)
+        .map(|id| WorkOp::Malloc { id, size: 64 })
+        .collect();
+    ops.push(WorkOp::EndTx);
+    encode(
+        &Frame::Submit {
+            request_id,
+            affinity: None,
+            body: TxBody::Ops(ops),
+        },
+        wire,
+    );
+}
+
+fn accepted(request_id: u64) -> Frame {
+    Frame::Status {
+        request_id,
+        status: Status::Accepted,
+    }
+}
+
+fn start_one_worker_tier() -> NetServer {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        static_bytes: 1 << 16,
+        ..ServerConfig::default()
+    });
+    NetServer::bind(server, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback")
+}
+
+#[test]
+fn a_submit_written_one_byte_at_a_time_is_accepted_once() {
+    let tier = start_one_worker_tier();
+    let mut stream = raw_conn(&tier);
+    stream.set_nodelay(true).expect("nodelay");
+    let mut wire = Vec::new();
+    submit_mallocs(1, 8, &mut wire);
+    for byte in &wire {
+        stream
+            .write_all(std::slice::from_ref(byte))
+            .expect("send a byte");
+    }
+    let mut rbuf = Vec::new();
+    assert_eq!(next_frame(&mut stream, &mut rbuf), accepted(1));
+    say_goodbye(&mut stream);
+    let report = tier.finish();
+    assert_eq!(report.net.frames_in, 2, "the Submit and the Goodbye");
+    assert_eq!((report.accepted, report.server.completed), (1, 1));
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
+}
+
+#[test]
+fn three_frames_in_one_write_get_three_statuses_in_order() {
+    let tier = start_one_worker_tier();
+    let mut stream = raw_conn(&tier);
+    let mut wire = Vec::new();
+    for id in 1..=3 {
+        submit_mallocs(id, 4, &mut wire);
+    }
+    stream.write_all(&wire).expect("send three frames");
+    let mut rbuf = Vec::new();
+    for id in 1..=3 {
+        assert_eq!(next_frame(&mut stream, &mut rbuf), accepted(id));
+    }
+    say_goodbye(&mut stream);
+    let report = tier.finish();
+    assert_eq!((report.accepted, report.server.completed), (3, 3));
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
+}
+
+#[test]
+fn a_frame_larger_than_the_read_window_is_accepted_and_executed() {
+    let tier = start_one_worker_tier();
+    let mut stream = raw_conn(&tier);
+    let mut wire = Vec::new();
+    submit_mallocs(1, 5_000, &mut wire);
+    assert!(wire.len() > 80_000, "{} bytes", wire.len());
+    stream.write_all(&wire).expect("send the frame");
+    assert_eq!(next_frame(&mut stream, &mut Vec::new()), accepted(1));
+    say_goodbye(&mut stream);
+    let report = tier.finish();
+    assert_eq!((report.accepted, report.server.completed), (1, 1));
+    assert_eq!(report.net.bytes_in, wire.len() as u64 + 5);
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
+}
+
+#[test]
+fn a_frame_before_garbage_in_the_same_write_is_answered_before_the_drop() {
+    let tier = start_one_worker_tier();
+    let mut stream = raw_conn(&tier);
+    let mut wire = Vec::new();
+    submit_mallocs(1, 4, &mut wire);
+    // A one-byte body whose frame tag no protocol version defines.
+    wire.extend_from_slice(&[1, 0, 0, 0, 0x7f]);
+    stream.write_all(&wire).expect("send frame and garbage");
+    let mut rbuf = Vec::new();
+    assert_eq!(next_frame(&mut stream, &mut rbuf), accepted(1));
+    let mut byte = [0u8; 1];
+    assert_eq!(stream.read(&mut byte).ok(), Some(0), "then the drop");
+    let report = tier.finish();
+    assert_eq!(report.net.protocol_errors, 1);
+    assert_eq!(report.net.conns_dropped, 1);
+    assert_eq!((report.accepted, report.server.completed), (1, 1));
     assert!(report.reconciles(), "tier must reconcile: {report:?}");
 }
 
@@ -318,10 +444,7 @@ fn front_end_counters_flow_into_telemetry_samples() {
 #[test]
 fn malformed_frame_is_counted_once_in_report_and_samples() {
     let tier = start_observed_tier();
-    let mut stream = TcpStream::connect(tier.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
+    let mut stream = raw_conn(&tier);
     // A one-byte body whose frame tag no protocol version defines.
     stream
         .write_all(&[1, 0, 0, 0, 0x7f])

@@ -35,7 +35,7 @@ pub struct ClassOccupancy {
 /// size classes. [`HeapSnapshot::default`] is the all-zero snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct HeapSnapshot {
-    /// Allocator name, as in [`Allocator::name`] (e.g. `"ddmalloc"`).
+    /// Allocator name, as in `webmm_alloc::Allocator::name` (e.g. `"ddmalloc"`).
     pub allocator: String,
     /// Bytes reserved from the (simulated) OS.
     pub heap_bytes: u64,

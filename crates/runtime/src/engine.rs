@@ -198,7 +198,7 @@ fn scaled_machine(machine: &MachineConfig, scale: u32) -> MachineConfig {
 
 /// Runs one configuration on one machine.
 ///
-/// The workload scale divisor also scales the L2 (see [`scaled_machine`])
+/// The workload scale divisor also scales the L2 (see `scaled_machine`)
 /// and the shared static area, keeping the architectural ratios of the
 /// full-size experiment.
 ///

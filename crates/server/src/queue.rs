@@ -90,9 +90,8 @@ pub struct QueueCounters {
 }
 
 /// A coherent point-in-time view of the ingress: depth and counters read
-/// under one lock acquisition per shard, instead of callers taking every
-/// lock once for [`ShardedTxQueue::depth`](crate::ShardedTxQueue::depth)
-/// and again for [`ShardedTxQueue::counters`](crate::ShardedTxQueue::counters).
+/// under one lock acquisition per shard, so each shard's depth and
+/// counters describe the same instant.
 #[derive(Clone, Debug, Default)]
 pub struct QueueSnapshot {
     /// Transactions queued across all shards at snapshot time.

@@ -155,14 +155,6 @@ impl Server {
         }
     }
 
-    /// Whether the ingress queue has been closed for draining. Front-end
-    /// tiers (e.g. `webmm-net`) check this to refuse new work with a
-    /// drain status instead of submitting transactions that would only
-    /// be counted as shed.
-    pub fn is_closed(&self) -> bool {
-        self.queue.is_closed()
-    }
-
     /// The live telemetry plane, when the config asked for one.
     pub fn telemetry(&self) -> Option<&Arc<ServerTelemetry>> {
         self.telemetry.as_ref()
@@ -260,7 +252,10 @@ impl Ingress {
     }
 
     /// Whether the ingress queue has been closed for draining (see
-    /// [`Server::is_closed`]).
+    /// [`ShardedTxQueue::is_closed`]). Front-end tiers (e.g.
+    /// `webmm-net`) check this to refuse new work with a drain status
+    /// instead of submitting transactions that would only be counted as
+    /// shed.
     pub fn is_closed(&self) -> bool {
         self.queue.is_closed()
     }
@@ -298,17 +293,6 @@ pub struct ServerReport {
     pub pool: PoolStats,
     /// Per-worker counters.
     pub per_worker: Vec<WorkerReport>,
-}
-
-impl ServerReport {
-    /// Pretty-printed JSON rendering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails (it cannot for this type).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("ServerReport serializes")
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +345,7 @@ mod tests {
         });
         server.submit(tiny_tx(0));
         let report = server.finish();
-        let json = report.to_json();
+        let json = serde_json::to_string_pretty(&report).expect("report serializes");
         let back: ServerReport = serde_json::from_str(&json).expect("roundtrip");
         assert_eq!(back.completed, report.completed);
         assert_eq!(back.allocator, report.allocator);

@@ -106,6 +106,10 @@ struct ShardState {
     stolen: u64,
     /// Times this shard's worker waited on `not_empty`.
     parks: u64,
+    /// Block-policy submitters waiting on `not_full` right now. A drain
+    /// or a steal notifies only when this is above 0: std's futex
+    /// `Condvar` makes a wake syscall even when nobody waits.
+    blocked: usize,
 }
 
 struct Shard {
@@ -119,8 +123,8 @@ struct Shard {
     /// Signalled when a transaction lands in this shard or the queue
     /// closes.
     not_empty: Condvar,
-    /// Signalled when this shard is drained or stolen from
-    /// (Block-policy waiters).
+    /// Signalled when this shard is drained or stolen from while a
+    /// Block-policy submitter waits (`ShardState::blocked`).
     not_full: Condvar,
 }
 
@@ -132,6 +136,7 @@ impl Shard {
                 counters: QueueCounters::default(),
                 stolen: 0,
                 parks: 0,
+                blocked: 0,
             }),
             len: AtomicUsize::new(0),
             parked: AtomicBool::new(false),
@@ -273,7 +278,9 @@ impl ShardedTxQueue {
                     while st.buf.len() >= self.shard_capacity
                         && !self.closed.load(Ordering::Acquire)
                     {
+                        st.blocked += 1;
                         st = s.not_full.wait(st).expect("shard lock");
+                        st.blocked -= 1;
                     }
                     if self.closed.load(Ordering::Acquire) {
                         st.counters.shed += 1;
@@ -382,10 +389,13 @@ impl ShardedTxQueue {
                 if take > 0 {
                     out.extend(st.buf.drain(..take));
                     s.len.store(st.buf.len(), Ordering::Relaxed);
+                    let blocked = st.blocked > 0;
                     drop(st);
                     // A batch frees `take` slots: wake every blocked
                     // submitter that can now fit.
-                    s.not_full.notify_all();
+                    if blocked {
+                        s.not_full.notify_all();
+                    }
                     return Fill::Own(take);
                 }
             }
@@ -404,8 +414,11 @@ impl ShardedTxQueue {
                     out.extend(st.buf.drain(..take));
                     s.len.store(st.buf.len(), Ordering::Relaxed);
                     st.stolen += take as u64;
+                    let blocked = st.blocked > 0;
                     drop(st);
-                    s.not_full.notify_all();
+                    if blocked {
+                        s.not_full.notify_all();
+                    }
                     return Fill::Stolen(take);
                 }
             }
