@@ -147,7 +147,7 @@ impl BoundaryHeap {
 
     /// Telemetry snapshot of this engine's internals, answered entirely
     /// from the Rust-side mirrors. Wrappers fill in `allocator` and any
-    /// family-specific fields (classes, freeAll cost) on top.
+    /// family-specific fields (classes, freeAll count) on top.
     pub fn snapshot(&self) -> webmm_obs::HeapSnapshot {
         webmm_obs::HeapSnapshot {
             heap_bytes: self.heap_bytes(),

@@ -151,7 +151,6 @@ pub struct DdMalloc {
     /// `free_all` does not rescan the vector.
     hint_count: u64,
     segs_used: u64,
-    free_all_ns: u64,
 }
 
 impl DdMalloc {
@@ -176,18 +175,12 @@ impl DdMalloc {
             hint_set: vec![false; n],
             hint_count: 0,
             segs_used: 0,
-            free_all_ns: 0,
         }
     }
 
     /// The heap configuration.
     pub fn config(&self) -> &DdConfig {
         &self.config
-    }
-
-    /// The size-class table in use.
-    pub fn size_classes(&self) -> &SizeClasses {
-        &self.classes
     }
 
     fn layout<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Layout {
@@ -490,7 +483,6 @@ impl webmm_obs::HeapTelemetry for DdMalloc {
                 .map(|c| self.class_free_now(c) * self.classes.size_of(c))
                 .sum(),
             free_all_count: self.stats.free_alls,
-            free_all_ns: self.free_all_ns,
             classes: (0..self.classes.count())
                 .map(|c| webmm_obs::ClassOccupancy {
                     class: c as u32,
@@ -644,7 +636,6 @@ impl Allocator for DdMalloc {
     fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
         // Wall-clock timing feeds telemetry only; it never enters the
         // simulated instruction counts.
-        let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         let l = self.layout(port);
@@ -689,7 +680,6 @@ impl Allocator for DdMalloc {
         // maintained hint counter, not a rescan.
         self.epoch += 1;
         self.segs_used = self.hint_count;
-        self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
     }
 

@@ -75,7 +75,7 @@ impl webmm_obs::HeapTelemetry for DlAlloc {
     fn heap_snapshot(&self) -> webmm_obs::HeapSnapshot {
         webmm_obs::HeapSnapshot {
             allocator: "glibc".into(),
-            // No freeAll here, ever: free_all_count/free_all_ns stay 0.
+            // No freeAll here, ever: free_all_count stays 0.
             ..self.heap.snapshot()
         }
     }

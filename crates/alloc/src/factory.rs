@@ -1,7 +1,7 @@
 //! Allocator registry: build any of the paper's allocators by name.
 
 use crate::api::{AllocError, AllocTraits, Allocator, Footprint, OpStats};
-use crate::ddmalloc::{ClassMapping, DdConfig, DdMalloc};
+use crate::ddmalloc::{DdConfig, DdMalloc};
 use crate::dl::{DlAlloc, DlConfig};
 use crate::hoard::{HoardAlloc, HoardConfig};
 use crate::obstack::{ObstackAlloc, ObstackConfig};
@@ -100,26 +100,6 @@ impl AllocatorKind {
     /// Builds a DDmalloc with an explicit configuration (ablation studies).
     pub fn build_dd(config: DdConfig) -> Heap {
         Heap::DdMalloc(DdMalloc::new(config))
-    }
-
-    /// Builds a DDmalloc variant for a given segment size / mapping /
-    /// large-page setting, for the ablation benches.
-    pub fn build_dd_with(
-        segment_bytes: u64,
-        mapping: ClassMapping,
-        large_pages: bool,
-        metadata_offset: bool,
-        pid: u32,
-    ) -> Heap {
-        Self::build_dd(DdConfig {
-            segment_bytes,
-            // Keep the heap capacity constant at 512 MB across segment sizes.
-            max_segments: ((512u64 << 20) / segment_bytes) as u32,
-            large_pages,
-            metadata_offset,
-            pid,
-            mapping,
-        })
     }
 
     /// Short stable identifier (for CLI arguments and JSON output).

@@ -51,10 +51,8 @@ pub struct ObstackAlloc {
     stats: OpStats,
     tx_alloc_bytes: u64,
     peak_tx_alloc: u64,
-    /// Telemetry mirrors: objects bumped since the last rewind, and
-    /// cumulative `freeAll` wall cost.
+    /// Telemetry mirror: objects bumped since the last rewind.
     tx_objs: u64,
-    free_all_ns: u64,
 }
 
 impl ObstackAlloc {
@@ -70,7 +68,6 @@ impl ObstackAlloc {
             tx_alloc_bytes: 0,
             peak_tx_alloc: 0,
             tx_objs: 0,
-            free_all_ns: 0,
         }
     }
 
@@ -107,7 +104,6 @@ impl webmm_obs::HeapTelemetry for ObstackAlloc {
             peak_tx_bytes: self.peak_tx_alloc,
             segments: self.chunks.len() as u64,
             free_all_count: self.stats.free_alls,
-            free_all_ns: self.free_all_ns,
             classes: vec![webmm_obs::ClassOccupancy {
                 class: 0,
                 object_size: 0,
@@ -221,7 +217,6 @@ impl Allocator for ObstackAlloc {
     }
 
     fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
-        let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         let cursor_addr = self.init(port);
@@ -231,7 +226,6 @@ impl Allocator for ObstackAlloc {
         self.stats.free_alls += 1;
         self.tx_alloc_bytes = 0;
         self.tx_objs = 0;
-        self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
     }
 

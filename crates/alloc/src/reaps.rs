@@ -60,8 +60,6 @@ pub struct ReapAlloc {
     heap: BoundaryHeap,
     code_id: Option<CodeRegionId>,
     stats: OpStats,
-    /// Cumulative `freeAll` wall cost (telemetry mirror).
-    free_all_ns: u64,
 }
 
 impl ReapAlloc {
@@ -71,7 +69,6 @@ impl ReapAlloc {
             heap: BoundaryHeap::new(config.arena_bytes, config.max_arenas, true),
             code_id: None,
             stats: OpStats::default(),
-            free_all_ns: 0,
         }
     }
 }
@@ -81,7 +78,6 @@ impl webmm_obs::HeapTelemetry for ReapAlloc {
         webmm_obs::HeapSnapshot {
             allocator: "Reaps".into(),
             free_all_count: self.stats.free_alls,
-            free_all_ns: self.free_all_ns,
             ..self.heap.snapshot()
         }
     }
@@ -165,12 +161,10 @@ impl Allocator for ReapAlloc {
     }
 
     fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
-        let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         self.heap.reset(port);
         self.stats.free_alls += 1;
-        self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
     }
 

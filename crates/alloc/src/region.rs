@@ -72,11 +72,10 @@ pub struct RegionAlloc {
     stats: OpStats,
     tx_alloc_bytes: u64,
     peak_tx_alloc: u64,
-    /// Telemetry mirrors: objects bumped since the last `freeAll` (nothing
+    /// Telemetry mirror: objects bumped since the last `freeAll` (nothing
     /// is ever individually freed, so this only grows within a
-    /// transaction) and cumulative `freeAll` wall cost.
+    /// transaction).
     tx_objs: u64,
-    free_all_ns: u64,
 }
 
 impl RegionAlloc {
@@ -92,7 +91,6 @@ impl RegionAlloc {
             tx_alloc_bytes: 0,
             peak_tx_alloc: 0,
             tx_objs: 0,
-            free_all_ns: 0,
         }
     }
 
@@ -137,7 +135,6 @@ impl webmm_obs::HeapTelemetry for RegionAlloc {
             peak_tx_bytes: self.peak_tx_alloc,
             segments: self.chunks.len() as u64,
             free_all_count: self.stats.free_alls,
-            free_all_ns: self.free_all_ns,
             classes: vec![webmm_obs::ClassOccupancy {
                 class: 0,
                 object_size: 0, // bump allocation: no size classes
@@ -258,7 +255,6 @@ impl Allocator for RegionAlloc {
     }
 
     fn free_all<P: MemoryPort + ?Sized>(&mut self, port: &mut P) {
-        let t0 = std::time::Instant::now();
         let spec = self.code_spec();
         enter_mm(port, &mut self.code_id, spec);
         let cursor_addr = self.init(port);
@@ -268,7 +264,6 @@ impl Allocator for RegionAlloc {
         self.stats.free_alls += 1;
         self.tx_alloc_bytes = 0;
         self.tx_objs = 0;
-        self.free_all_ns += t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         exit_mm(port);
     }
 

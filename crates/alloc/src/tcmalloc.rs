@@ -304,9 +304,8 @@ impl webmm_obs::HeapTelemetry for TcAlloc {
                 .map(|c| (self.tc_free[c] + self.central_free[c]) * CLASS_SIZES[c])
                 .sum::<u64>()
                 + ph.free_bytes,
-            // No freeAll here, ever: free_all_count/free_all_ns stay 0.
+            // No freeAll here, ever: free_all_count stays 0.
             free_all_count: 0,
-            free_all_ns: 0,
             classes: (0..N_CLASSES)
                 .map(|c| webmm_obs::ClassOccupancy {
                     class: c as u32,

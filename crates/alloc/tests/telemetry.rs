@@ -6,7 +6,7 @@
 //! malloc/free/freeAll script and assert the snapshot invariants the
 //! sampler relies on: mirrors answer from Rust-side state only (no port
 //! access, hence zero simulated instructions), live/free occupancy moves
-//! with the workload, and freeAll cost accumulates for bulk-free families.
+//! with the workload, and freeAll calls are counted for bulk-free families.
 
 use webmm_alloc::{Allocator, AllocatorKind, HeapTelemetry};
 use webmm_sim::PlainPort;
@@ -110,12 +110,8 @@ fn free_all_resets_occupancy_and_accumulates_cost() {
             0,
             "{kind:?} live occupancy after freeAll"
         );
-        // Wall-clock timing may round to 0 ns on a coarse clock, but the
-        // counter must be monotone across calls.
-        let before = s.free_all_ns;
         a.malloc(&mut port, 128).unwrap();
         a.free_all(&mut port);
-        assert!(a.heap_snapshot().free_all_ns >= before, "{kind:?} cost");
         assert_eq!(a.heap_snapshot().free_all_count, 2, "{kind:?} count");
     }
 }

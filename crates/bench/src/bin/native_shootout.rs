@@ -28,8 +28,9 @@
 //! workers, tx_per_sec, steal counters, the host's available
 //! parallelism, latency summary). With `--obs-interval`, every cell runs
 //! with live telemetry attached: a sampler snapshots queue depth,
-//! sliding-window latency quantiles and per-worker heap occupancy at
-//! that interval, the last sample of each cell is rendered as a
+//! sliding-window latency quantiles (derived from the workers' own
+//! histograms) and per-worker heap occupancy at that interval (nonzero;
+//! `0` exits 2 with usage), the last sample of each cell is rendered as a
 //! dashboard, and `--obs-out` collects the full time series of all cells
 //! into one JSONL file (the `run` field names the cell, e.g.
 //! `ddmalloc-w4`).
@@ -83,16 +84,18 @@ struct Args {
 }
 
 /// Parses `10ms`, `1s`, `250us`, `5000ns` (bare numbers: milliseconds).
+/// A zero duration is refused: the sampler would never sleep.
 fn parse_duration(v: &str) -> Option<Duration> {
     let (digits, unit) = v.split_at(v.find(|c: char| !c.is_ascii_digit()).unwrap_or(v.len()));
     let n: u64 = digits.parse().ok()?;
-    match unit {
-        "ns" => Some(Duration::from_nanos(n)),
-        "us" => Some(Duration::from_micros(n)),
-        "ms" | "" => Some(Duration::from_millis(n)),
-        "s" => Some(Duration::from_secs(n)),
-        _ => None,
-    }
+    let d = match unit {
+        "ns" => Duration::from_nanos(n),
+        "us" => Duration::from_micros(n),
+        "ms" | "" => Duration::from_millis(n),
+        "s" => Duration::from_secs(n),
+        _ => return None,
+    };
+    (!d.is_zero()).then_some(d)
 }
 
 /// Parses `1,2,4,8` (or a single count) into the worker sweep.
@@ -105,6 +108,17 @@ fn parse_workers(v: &str) -> Option<Vec<usize>> {
         return None;
     }
     Some(points)
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!(
+        "usage: native_shootout [--workers N,N,..] [--tx N] [--scale N] [--seed N] \
+         [--policy block|reject|shed-oldest] [--capacity N] \
+         [--batch N] [--out FILE] \
+         [--obs-interval DUR] [--obs-out FILE]   (DUR like 10ms, 1s; not 0)"
+    );
+    std::process::exit(2);
 }
 
 fn parse_args() -> Args {
@@ -123,17 +137,16 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            })
+            it.next()
+                .unwrap_or_else(|| usage(&format!("missing value for {flag}")))
         };
         match flag.as_str() {
             "--workers" => {
                 let v = value();
                 args.workers = parse_workers(&v).unwrap_or_else(|| {
-                    eprintln!("bad --workers `{v}` (comma list of counts, e.g. 1,2,4)");
-                    std::process::exit(2);
+                    usage(&format!(
+                        "bad --workers `{v}` (comma list of counts, e.g. 1,2,4)"
+                    ))
                 });
             }
             "--tx" => args.tx = value().parse().expect("--tx takes a count"),
@@ -144,29 +157,19 @@ fn parse_args() -> Args {
             "--policy" => {
                 let v = value();
                 args.policy = AdmissionPolicy::from_id(&v).unwrap_or_else(|| {
-                    eprintln!("unknown policy `{v}` (block|reject|shed-oldest)");
-                    std::process::exit(2);
+                    usage(&format!("unknown policy `{v}` (block|reject|shed-oldest)"))
                 });
             }
             "--out" => args.out = value(),
             "--obs-interval" => {
                 let v = value();
-                args.obs_interval = Some(parse_duration(&v).unwrap_or_else(|| {
-                    eprintln!("bad --obs-interval `{v}` (e.g. 10ms, 1s)");
-                    std::process::exit(2);
-                }));
+                args.obs_interval = Some(
+                    parse_duration(&v)
+                        .unwrap_or_else(|| usage(&format!("bad --obs-interval `{v}`"))),
+                );
             }
             "--obs-out" => args.obs_out = Some(value()),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!(
-                    "usage: native_shootout [--workers N,N,..] [--tx N] [--scale N] [--seed N] \
-                     [--policy block|reject|shed-oldest] [--capacity N] \
-                     [--batch N] [--out FILE] \
-                     [--obs-interval DUR] [--obs-out FILE]"
-                );
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag `{other}`")),
         }
     }
     // --obs-out alone implies observation at the default interval.

@@ -59,9 +59,6 @@ pub struct HeapSnapshot {
     pub free_bytes: u64,
     /// Bulk `freeAll` calls served so far.
     pub free_all_count: u64,
-    /// Cumulative wall-clock nanoseconds spent inside `freeAll` — the
-    /// paper's "freeAll cost" made observable as it accrues.
-    pub free_all_ns: u64,
     /// Per-class occupancy, empty for classless families.
     pub classes: Vec<ClassOccupancy>,
 }

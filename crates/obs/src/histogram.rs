@@ -42,24 +42,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Rebuilds a histogram from raw parts (used by the atomic windowed
-    /// variant in [`crate::window`] to snapshot itself into this type).
-    pub(crate) fn from_parts(
-        buckets: [u64; 64],
-        count: u64,
-        sum_ns: u64,
-        max_ns: u64,
-        min_ns: u64,
-    ) -> Self {
-        LatencyHistogram {
-            buckets,
-            count,
-            sum_ns,
-            max_ns,
-            min_ns,
-        }
-    }
-
     /// Records one latency observation. `record(0)` lands in the first
     /// bucket like any other value — zeros are counted, never dropped.
     pub fn record(&mut self, ns: u64) {
@@ -83,17 +65,64 @@ impl LatencyHistogram {
         self.min_ns = self.min_ns.min(other.min_ns);
     }
 
+    /// The observations recorded after `earlier`, an earlier copy of this
+    /// same cumulative histogram (used to derive a sliding window from
+    /// running totals).
+    ///
+    /// Buckets, count and sum subtract exactly. The difference keeps no
+    /// record of its own extremes, so `max_ns` is exact only when the
+    /// maximum grew since `earlier` (the new maximum is then a later
+    /// observation); otherwise it is the upper bound of the highest
+    /// non-empty difference bucket, capped at `self.max_ns`. `min_ns`
+    /// works the same way downwards. An empty difference is an empty
+    /// histogram.
+    pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
+        let count = self.count.saturating_sub(earlier.count);
+        if count == 0 {
+            return LatencyHistogram::new();
+        }
+        let mut buckets = [0u64; 64];
+        for (d, (now, then)) in buckets
+            .iter_mut()
+            .zip(self.buckets.iter().zip(earlier.buckets.iter()))
+        {
+            *d = now.saturating_sub(*then);
+        }
+        let max_ns = if self.max_ns > earlier.max_ns {
+            self.max_ns
+        } else {
+            let top = buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
+            (u64::MAX >> (63 - top)).min(self.max_ns)
+        };
+        let min_ns = if self.min_ns < earlier.min_ns {
+            self.min_ns
+        } else {
+            let bottom = buckets.iter().position(|&n| n > 0).unwrap_or(0);
+            let lower = if bottom == 0 { 0 } else { 1u64 << bottom };
+            lower.max(self.min_ns)
+        };
+        LatencyHistogram {
+            buckets,
+            count,
+            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
+            max_ns,
+            min_ns,
+        }
+    }
+
     /// Observations recorded.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Largest observation, exact (0 for an empty histogram).
+    /// Largest observation (0 for an empty histogram): exact, except in
+    /// a [`since`](Self::since) difference, where it may be a bucket bound.
     pub fn max_ns(&self) -> u64 {
         self.max_ns
     }
 
-    /// Smallest observation, exact (0 for an empty histogram).
+    /// Smallest observation (0 for an empty histogram): exact, except in
+    /// a [`since`](Self::since) difference, where it may be a bucket bound.
     pub fn min_ns(&self) -> u64 {
         if self.count == 0 {
             0
@@ -167,7 +196,8 @@ pub struct LatencySummary {
     pub count: u64,
     /// Mean latency in nanoseconds (exact).
     pub mean_ns: u64,
-    /// Smallest observation, exact.
+    /// Smallest observation, exact (within its bucket for a window whose
+    /// minimum is older than the window).
     pub min_ns: u64,
     /// Median, within 2× (log2 buckets, interpolated).
     pub p50_ns: u64,
@@ -177,7 +207,8 @@ pub struct LatencySummary {
     pub p99_ns: u64,
     /// 99.9th percentile.
     pub p999_ns: u64,
-    /// Largest observation, exact.
+    /// Largest observation, exact (within its bucket for a window whose
+    /// maximum is older than the window).
     pub max_ns: u64,
 }
 
@@ -265,6 +296,82 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert_eq!(a.mean_ns(), whole.mean_ns());
         assert_eq!(a.summary(), whole.summary());
+    }
+
+    #[test]
+    fn since_an_earlier_copy_is_the_later_observations() {
+        let mut total = LatencyHistogram::new();
+        for i in 0..500u64 {
+            total.record(1000 + i * 13);
+        }
+        let earlier = total.clone();
+        let mut later = LatencyHistogram::new();
+        // The later observations reach past both earlier extremes, so
+        // min and max are exact and the summaries must match field by
+        // field.
+        for i in 0..700u64 {
+            let v = 50 + i * i * 7;
+            total.record(v);
+            later.record(v);
+        }
+        let diff = total.since(&earlier);
+        assert_eq!(diff.buckets, later.buckets);
+        assert_eq!(diff.count(), later.count());
+        assert_eq!(diff.mean_ns(), later.mean_ns());
+        assert_eq!(diff.summary(), later.summary());
+    }
+
+    #[test]
+    fn since_keeps_extremes_exact_when_new_and_bucket_bounded_when_old() {
+        let mut total = LatencyHistogram::new();
+        total.record(300);
+        let earlier = total.clone();
+        total.record(5);
+        total.record(1_000_000);
+        let diff = total.since(&earlier);
+        assert_eq!(
+            (diff.min_ns(), diff.max_ns()),
+            (5, 1_000_000),
+            "new extremes"
+        );
+
+        let mut total = LatencyHistogram::new();
+        total.record(5);
+        total.record(1_000_000);
+        let earlier = total.clone();
+        total.record(300);
+        total.record(3000);
+        let diff = total.since(&earlier);
+        assert_eq!(diff.count(), 2);
+        // 300 lies in [256, 512) and 3000 in [2048, 4096): the old
+        // extremes are gone, and the bounds of those buckets stand in.
+        assert!(
+            (256..=300).contains(&diff.min_ns()),
+            "min {}",
+            diff.min_ns()
+        );
+        assert!(
+            (3000..4096).contains(&diff.max_ns()),
+            "max {}",
+            diff.max_ns()
+        );
+    }
+
+    #[test]
+    fn since_itself_is_empty() {
+        let mut h = LatencyHistogram::new();
+        for v in [0u64, 9, 4096, 77_000] {
+            h.record(v);
+        }
+        let diff = h.since(&h);
+        assert_eq!(diff.count(), 0);
+        assert_eq!(diff.summary(), LatencySummary::default());
+        assert_eq!(
+            LatencyHistogram::new()
+                .since(&LatencyHistogram::new())
+                .summary(),
+            LatencySummary::default()
+        );
     }
 
     #[test]

@@ -14,18 +14,19 @@
 //! * [`LatencyHistogram`] / [`LatencySummary`] — the log2-bucketed
 //!   histogram (moved here from `webmm-server` so every crate shares one
 //!   definition of a quantile) with documented edge behavior at
-//!   `q = 0`, `q = 1`, and on empty histograms.
-//! * [`SlidingWindow`] / [`AtomicHistogram`] — a rotating ring of atomic
-//!   histogram slots giving mid-run p50/p95/p99 over the last
-//!   `slots × interval` of traffic.
+//!   `q = 0`, `q = 1`, and on empty histograms. Each worker keeps one;
+//!   [`LatencyHistogram::since`] subtracts an earlier copy of a running
+//!   total, which is how the sampler derives its mid-run sliding window
+//!   without a second, shared histogram on the completion path.
 //! * [`HeapTelemetry`] / [`HeapSnapshot`] — the trait every allocator
 //!   family implements to expose size-class occupancy, segment/chunk
 //!   counts, free-list lengths, touched-footprint high-water marks, and
-//!   cumulative `freeAll` cost from Rust-side mirrors (no simulated-
-//!   memory walks, no perturbation of the measured heap).
+//!   `freeAll` counts from Rust-side mirrors (no simulated-memory walks,
+//!   no clock reads, no perturbation of the measured heap).
 //! * [`TxTracer`] / [`TxSpan`] — fixed-capacity per-worker ring buffers
-//!   of raw transaction spans (`enqueue → dequeue → complete`, bytes,
-//!   shed flag) with whole-ring dump on demand.
+//!   of raw completed-transaction spans (`enqueue → dequeue → complete`,
+//!   bytes) with whole-ring dump on demand. Sheds are counted per shard
+//!   ([`ShardSample::shed`]), not traced.
 //! * [`ShardSample`] — per-shard depth, admission, and steal counters
 //!   for sharded work-stealing ingress queues, published in every
 //!   telemetry sample so shard imbalance is visible live.
@@ -40,11 +41,9 @@ mod histogram;
 mod net;
 mod shard;
 mod trace;
-mod window;
 
 pub use heap::{ClassOccupancy, HeapSnapshot, HeapTelemetry};
 pub use histogram::{LatencyHistogram, LatencySummary};
 pub use net::{bump, FrontEndBlock, FrontEndCounters, NetCounters};
 pub use shard::ShardSample;
 pub use trace::{SpanRing, TxSpan, TxTracer};
-pub use window::{AtomicHistogram, SlidingWindow};

@@ -2,10 +2,10 @@
 //!
 //! Aggregates (histograms, counters) answer "how bad is the tail"; they
 //! cannot answer "what did transaction 48123 actually experience". The
-//! tracer keeps the last N transactions per worker as raw
-//! `{tx_id, enqueue → dequeue → complete, bytes, shed}` spans so a
-//! post-run dump can reconstruct individual slow requests and shed
-//! decisions.
+//! tracer keeps the last N completed transactions per worker as raw
+//! `{tx_id, enqueue → dequeue → complete, bytes}` spans so a post-run
+//! dump can reconstruct individual slow requests. Shed transactions
+//! never reach a worker; the ingress counts them per shard instead.
 //!
 //! Cost model: each worker writes only its own ring, so the per-record
 //! mutex is uncontended (a dump is the only other locker, and dumps are
@@ -21,19 +21,16 @@ use std::time::Instant;
 pub struct TxSpan {
     /// Workload transaction id.
     pub tx_id: u64,
-    /// Worker that completed it, or the shed lane's id for shed spans.
+    /// Worker that completed it.
     pub worker: u64,
     /// When the client enqueued it.
     pub enqueue_ns: u64,
-    /// When a worker dequeued it (equals `complete_ns` for shed spans —
-    /// a shed transaction never ran).
+    /// When a worker dequeued it.
     pub dequeue_ns: u64,
-    /// When it finished (or was shed).
+    /// When it finished.
     pub complete_ns: u64,
-    /// Payload bytes the transaction allocated while running (0 if shed).
+    /// Payload bytes the transaction allocated while running.
     pub bytes_allocated: u64,
-    /// True if admission control dropped it instead of serving it.
-    pub shed: bool,
 }
 
 impl TxSpan {
@@ -95,25 +92,21 @@ impl SpanRing {
     }
 }
 
-/// Per-worker span rings plus one extra lane for shed transactions
-/// (sheds happen on the *submitting* thread, before any worker exists
-/// for them).
+/// Per-worker span rings on one shared clock.
 pub struct TxTracer {
     rings: Vec<Mutex<SpanRing>>,
     epoch: Instant,
-    workers: usize,
 }
 
 impl TxTracer {
     /// A tracer for `workers` workers, each ring holding `capacity`
-    /// spans, plus the shed lane.
+    /// spans.
     pub fn new(workers: usize, capacity: usize) -> Self {
         TxTracer {
-            rings: (0..workers + 1)
+            rings: (0..workers)
                 .map(|_| Mutex::new(SpanRing::new(capacity)))
                 .collect(),
             epoch: Instant::now(),
-            workers,
         }
     }
 
@@ -133,11 +126,6 @@ impl TxTracer {
             .min(u128::from(u64::MAX)) as u64
     }
 
-    /// The `worker` field stamped on shed spans.
-    pub fn shed_lane(&self) -> u64 {
-        self.workers as u64
-    }
-
     /// Records a completed span into its worker's ring.
     pub fn record(&self, worker: usize, span: TxSpan) {
         if let Some(ring) = self.rings.get(worker) {
@@ -145,20 +133,12 @@ impl TxTracer {
         }
     }
 
-    /// Records a shed span into the shed lane.
-    pub fn record_shed(&self, mut span: TxSpan) {
-        span.shed = true;
-        span.worker = self.shed_lane();
-        span.dequeue_ns = span.complete_ns;
-        self.rings[self.workers].lock().unwrap().push(span);
-    }
-
-    /// Spans ever recorded across all lanes (including evicted).
+    /// Spans ever recorded across all rings (including evicted).
     pub fn total(&self) -> u64 {
         self.rings.iter().map(|r| r.lock().unwrap().total()).sum()
     }
 
-    /// Dumps every lane's ring, merged and sorted by completion time.
+    /// Dumps every worker's ring, merged and sorted by completion time.
     pub fn dump(&self) -> Vec<TxSpan> {
         let mut spans: Vec<TxSpan> = self
             .rings
@@ -215,18 +195,13 @@ mod tests {
 
     #[test]
     fn tracer_merges_lanes_sorted_by_completion() {
-        let t = TxTracer::new(2, 16);
+        let t = TxTracer::new(3, 16);
         t.record(0, span(1, 300));
         t.record(1, span(2, 100));
-        t.record_shed(span(3, 200));
-        let dump = t.dump();
-        let ids: Vec<u64> = dump.iter().map(|s| s.tx_id).collect();
+        t.record(2, span(3, 200));
+        let ids: Vec<u64> = t.dump().iter().map(|s| s.tx_id).collect();
         assert_eq!(ids, vec![2, 3, 1]);
         assert_eq!(t.total(), 3);
-        let shed = dump.iter().find(|s| s.tx_id == 3).unwrap();
-        assert!(shed.shed);
-        assert_eq!(shed.worker, t.shed_lane());
-        assert_eq!(shed.service_ns(), 0, "shed spans never ran");
     }
 
     #[test]

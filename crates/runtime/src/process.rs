@@ -196,11 +196,6 @@ impl Process {
         self.objects.len()
     }
 
-    /// Workload stream statistics.
-    pub fn stream_stats(&self) -> webmm_workload::StreamStats {
-        self.stream.stats()
-    }
-
     /// Executes one workload operation on hardware context `ctx` of
     /// `hier`.
     ///

@@ -29,17 +29,19 @@
 //!   transaction (see [`TxExecutor`] for the hash-free object table and
 //!   `tests/alloc_audit.rs` for the proof);
 //! * [`LatencyHistogram`] — log2-bucketed admission-to-completion
-//!   latencies with p50/p95/p99/p999 (shared with `webmm-obs`, which is
-//!   also where the live sliding-window variant lives);
+//!   latencies with p50/p95/p99/p999, one per worker (defined in
+//!   `webmm-obs`; the live sliding window is derived from the same
+//!   per-worker histograms);
 //! * [`ServerReport`] — JSON-serializable run outcome, carrying the
 //!   checked accounting identity `submitted == completed + shed`;
 //! * [`ObsConfig`] / [`ServerTelemetry`] / [`ObsSample`] — opt-in live
-//!   telemetry: a sampler thread snapshots queue depth, sliding-window
-//!   latency quantiles, and the heap snapshot and [`WorkerReport`] each
-//!   worker last published (plus an attached network front-end's
-//!   counters) at a configurable interval, streaming JSONL while the run
-//!   is still serving. Samples read the same counters the final report
-//!   is built from, so the closing sample equals the report.
+//!   telemetry: a sampler thread snapshots queue depth and the heap
+//!   snapshot, [`WorkerReport`] and latency histogram each worker last
+//!   published (plus an attached network front-end's counters) at a
+//!   configurable, nonzero interval, derives sliding-window latency
+//!   quantiles from the histograms, and streams JSONL while the run is
+//!   still serving. Samples read the same records the final report is
+//!   built from, so the closing sample equals the report.
 //!
 //! ## Example
 //!

@@ -13,11 +13,10 @@
 //! accounting identity `submitted == completed + shed` after drain.
 
 use crate::pool::TxBufferPool;
-use crate::telemetry::ServerTelemetry;
 use crate::Transaction;
 use std::sync::Arc;
 use std::time::Instant;
-use webmm_obs::{ShardSample, TxSpan};
+use webmm_obs::ShardSample;
 
 /// What the queue does when a transaction arrives and the buffer is full.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -100,27 +99,6 @@ pub struct QueueSnapshot {
     pub counters: QueueCounters,
     /// Per-shard breakdown.
     pub shards: Vec<ShardSample>,
-}
-
-/// Records a shed span for transaction `tx_id` into `telemetry`'s shed
-/// lane (sheds happen on submitter threads, not worker threads). `queued_for` is how long a
-/// shed-oldest victim sat in the queue (`None` for rejections at the
-/// front door).
-pub(crate) fn trace_shed(
-    telemetry: &Option<Arc<ServerTelemetry>>,
-    tx_id: u64,
-    queued_for: Option<std::time::Duration>,
-) {
-    if let Some(t) = telemetry {
-        let now = t.tracer.now_ns();
-        let waited = queued_for.map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64);
-        t.tracer.record_shed(TxSpan {
-            tx_id,
-            enqueue_ns: now.saturating_sub(waited),
-            complete_ns: now,
-            ..TxSpan::default()
-        });
-    }
 }
 
 /// Returns a dead transaction's op buffer to `pool` (no-op without one).

@@ -70,9 +70,16 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `workers`, `queue_capacity`, or `batch` is zero.
+    /// Panics if `workers`, `queue_capacity`, `batch`, or a telemetry
+    /// `interval` is zero.
     pub fn start(config: ServerConfig) -> Self {
         assert!(config.workers > 0, "server needs at least one worker");
+        if let Some(obs) = &config.obs {
+            assert!(
+                !obs.interval.is_zero(),
+                "telemetry needs a nonzero sampling interval"
+            );
+        }
         let telemetry = config
             .obs
             .as_ref()
@@ -83,9 +90,6 @@ impl Server {
             config.policy,
             config.batch,
         );
-        if let Some(t) = &telemetry {
-            queue.install_telemetry(Arc::clone(t));
-        }
         // One pool shard per worker; retention sized so that every buffer
         // that can be in flight at once (the queue's backlog plus one
         // drained batch per worker, plus slack for buffers in generator
@@ -188,8 +192,10 @@ impl Server {
             latencies.merge(&hist);
             per_worker.push(report);
         }
-        let samples = self.sampler.map(Sampler::stop).unwrap_or_default();
+        // The run ends when the last worker joins: stopping the sampler
+        // waits out its current sleep, which is not serving time.
         let wall_ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let samples = self.sampler.map(Sampler::stop).unwrap_or_default();
         let counters = self.queue.counters();
         let completed: u64 = per_worker.iter().map(|w| w.completed).sum();
         let steals: u64 = per_worker.iter().map(|w| w.steals).sum();
@@ -351,6 +357,19 @@ mod tests {
         assert_eq!(back.allocator, report.allocator);
         assert_eq!(back.latency.count, report.latency.count);
         assert_eq!(back.per_worker.len(), report.per_worker.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero sampling interval")]
+    fn zero_telemetry_interval_is_refused() {
+        Server::start(ServerConfig {
+            workers: 1,
+            obs: Some(ObsConfig {
+                interval: std::time::Duration::ZERO,
+                ..ObsConfig::default()
+            }),
+            ..ServerConfig::default()
+        });
     }
 
     #[test]

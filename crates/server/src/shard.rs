@@ -43,10 +43,7 @@
 //! `tests/sharded.rs`).
 
 use crate::pool::TxBufferPool;
-use crate::queue::{
-    recycle, trace_shed, Admission, AdmissionPolicy, QueueCounters, QueueSnapshot, QueuedTx,
-};
-use crate::telemetry::ServerTelemetry;
+use crate::queue::{recycle, Admission, AdmissionPolicy, QueueCounters, QueueSnapshot, QueuedTx};
 use crate::Transaction;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -163,7 +160,6 @@ pub struct ShardedTxQueue {
     closed: AtomicBool,
     /// Round-robin submission cursor.
     rr: AtomicUsize,
-    telemetry: Option<Arc<ServerTelemetry>>,
     /// When present, rejected and shed transactions return their op
     /// buffers here instead of dropping them.
     pool: Option<Arc<TxBufferPool>>,
@@ -195,7 +191,6 @@ impl ShardedTxQueue {
             },
             closed: AtomicBool::new(false),
             rr: AtomicUsize::new(0),
-            telemetry: None,
             pool: None,
         }
     }
@@ -205,12 +200,6 @@ impl ShardedTxQueue {
     #[cfg(test)]
     fn set_spin(&mut self, spin: Duration) {
         self.spin = spin;
-    }
-
-    /// Routes shed spans into `telemetry`'s tracer. Called by the server
-    /// before the queue is shared.
-    pub(crate) fn install_telemetry(&mut self, telemetry: Arc<ServerTelemetry>) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Routes dead transactions' op buffers into `pool`. Called by the
@@ -268,7 +257,6 @@ impl ShardedTxQueue {
         if self.closed.load(Ordering::Acquire) {
             st.counters.shed += 1;
             drop(st);
-            trace_shed(&self.telemetry, tx.id, None);
             recycle(&self.pool, tx);
             return Admission::Rejected;
         }
@@ -285,7 +273,6 @@ impl ShardedTxQueue {
                     if self.closed.load(Ordering::Acquire) {
                         st.counters.shed += 1;
                         drop(st);
-                        trace_shed(&self.telemetry, tx.id, None);
                         recycle(&self.pool, tx);
                         return Admission::Rejected;
                     }
@@ -293,7 +280,6 @@ impl ShardedTxQueue {
                 AdmissionPolicy::Reject => {
                     st.counters.shed += 1;
                     drop(st);
-                    trace_shed(&self.telemetry, tx.id, None);
                     recycle(&self.pool, tx);
                     return Admission::Rejected;
                 }
@@ -306,7 +292,6 @@ impl ShardedTxQueue {
                     });
                     self.wake_for_push(shard, st);
                     if let Some(v) = victim {
-                        trace_shed(&self.telemetry, v.tx.id, Some(v.enqueued.elapsed()));
                         recycle(&self.pool, v.tx);
                     }
                     return Admission::AcceptedSheddingOldest;

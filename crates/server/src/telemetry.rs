@@ -1,21 +1,31 @@
 //! Live telemetry for a serving run: sampler, JSONL exporter, dashboard.
 //!
 //! When a [`ServerConfig`](crate::ServerConfig) carries an [`ObsConfig`],
-//! the server threads a shared [`ServerTelemetry`] through the queue and
-//! every worker, and a sampler thread wakes at the configured interval to
-//! assemble an [`ObsSample`]: queue depth, admission counters, the
-//! sliding-window latency quantiles, the heap snapshot and
-//! [`WorkerReport`] each worker last published, and, when a network
-//! front-end is attached, the sum of its per-thread counter blocks.
+//! the server hands a shared [`ServerTelemetry`] to every worker (the
+//! ingress knows nothing of it), and a sampler thread wakes at the
+//! configured interval to assemble an [`ObsSample`]: queue depth and
+//! admission counters read from the shards, the heap snapshot and
+//! [`WorkerReport`] each worker last published, sliding-window latency
+//! quantiles derived from the latency histograms the workers published
+//! with them, and, when a network front-end is attached, the sum of its
+//! per-thread counter blocks.
 //! Samples stream to a JSONL file (one JSON object per line,
 //! `serde`-compatible with the `ServerReport` types), so a run can be
 //! watched — or post-processed — while it is still serving.
 //!
 //! Every number in a sample is read from the same record the final
-//! report is built from: a worker's published `WorkerReport` is the
-//! report it returns at drain, and the front-end's counters are the
-//! blocks `NetReport` sums. The closing sample, taken after every thread
-//! has joined, therefore equals the report by construction.
+//! report is built from: a worker's published `WorkerReport` and
+//! `LatencyHistogram` are the ones it returns at drain, and the
+//! front-end's counters are the blocks `NetReport` sums. The closing
+//! sample, taken after every thread has joined, therefore equals the
+//! report by construction.
+//!
+//! The latency window is derived, not recorded: each tick the sampler
+//! merges the workers' cumulative histograms into a server-wide total
+//! and keeps the totals of its last `WINDOW_SLOTS` (8) ticks; the window
+//! is the total now minus the total that many ticks ago
+//! ([`LatencyHistogram::since`]), or everything since start while fewer
+//! ticks have passed.
 //!
 //! The instrumentation mirrors the discipline of the allocators it
 //! observes: workers touch only their own state on the hot path and
@@ -23,6 +33,7 @@
 //! done entirely by the reader. See DESIGN.md ("Observability") for why
 //! this is the telemetry analogue of DDmalloc's no-per-object-header rule.
 
+use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,22 +41,22 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use webmm_obs::{
-    FrontEndBlock, FrontEndCounters, HeapSnapshot, LatencySummary, ShardSample, SlidingWindow,
+    FrontEndBlock, FrontEndCounters, HeapSnapshot, LatencyHistogram, LatencySummary, ShardSample,
     TxSpan, TxTracer,
 };
 
 use crate::shard::ShardedTxQueue;
 use crate::worker::WorkerReport;
 
-/// Slots in the sliding latency window: it covers the last
-/// `WINDOW_SLOTS × interval` of completions.
+/// Sampler ticks in the sliding latency window: it covers the
+/// completions published in the last `WINDOW_SLOTS × interval`.
 const WINDOW_SLOTS: usize = 8;
 
 /// Configuration of the live-telemetry subsystem.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
-    /// Sampling interval; the sliding latency window covers the last
-    /// eight intervals.
+    /// Sampling interval, nonzero; the sliding latency window covers the
+    /// last eight intervals.
     pub interval: Duration,
     /// JSONL time-series destination (`None`: sample in memory only).
     pub out: Option<PathBuf>,
@@ -68,15 +79,13 @@ impl Default for ObsConfig {
 
 /// Shared telemetry state for one serving run.
 pub struct ServerTelemetry {
-    /// Sliding-window latency view; the sampler rotates it every interval.
-    pub window: SlidingWindow,
-    /// Per-worker transaction span rings plus the shed lane.
+    /// Per-worker transaction span rings.
     pub tracer: TxTracer,
-    /// Latest heap snapshot and report each worker published
-    /// (snapshot-on-read: the worker overwrites its slot at batch
-    /// boundaries, the sampler clones it out; the mutex is uncontended
-    /// worker-private state).
-    slots: Vec<Mutex<WorkerHeapSample>>,
+    /// Latest heap snapshot, report and latency histogram each worker
+    /// published (snapshot-on-read: the worker overwrites its slot at
+    /// batch boundaries, the sampler clones it out; the mutex is
+    /// uncontended worker-private state).
+    slots: Vec<Mutex<WorkerSlot>>,
     /// The network front-end's per-thread counter blocks, once a
     /// front-end is bound in front of the server.
     front_end: OnceLock<Arc<[FrontEndBlock]>>,
@@ -89,17 +98,19 @@ impl ServerTelemetry {
     /// Builds the telemetry plane for `workers` worker threads.
     pub fn new(config: &ObsConfig, workers: usize) -> Self {
         ServerTelemetry {
-            window: SlidingWindow::new(WINDOW_SLOTS),
             tracer: TxTracer::new(workers, config.trace_capacity),
             slots: (0..workers)
                 .map(|w| {
-                    Mutex::new(WorkerHeapSample {
-                        worker: w as u64,
-                        heap: HeapSnapshot::default(),
-                        report: WorkerReport {
+                    Mutex::new(WorkerSlot {
+                        sample: WorkerHeapSample {
                             worker: w as u64,
-                            ..WorkerReport::default()
+                            heap: HeapSnapshot::default(),
+                            report: WorkerReport {
+                                worker: w as u64,
+                                ..WorkerReport::default()
+                            },
                         },
+                        latency: LatencyHistogram::new(),
                     })
                 })
                 .collect(),
@@ -116,12 +127,20 @@ impl ServerTelemetry {
         self.publish_every
     }
 
-    /// Stores `heap` and `report` as worker `worker`'s current state.
-    pub(crate) fn publish(&self, worker: usize, heap: HeapSnapshot, report: &WorkerReport) {
+    /// Stores `heap`, `report` and the cumulative `latency` histogram as
+    /// worker `worker`'s current state, in one publication.
+    pub(crate) fn publish(
+        &self,
+        worker: usize,
+        heap: HeapSnapshot,
+        report: &WorkerReport,
+        latency: &LatencyHistogram,
+    ) {
         if let Some(slot) = self.slots.get(worker) {
             let mut slot = slot.lock().expect("worker slot lock");
-            slot.heap = heap;
-            slot.report.clone_from(report);
+            slot.sample.heap = heap;
+            slot.sample.report.clone_from(report);
+            slot.latency.clone_from(latency);
         }
     }
 
@@ -144,16 +163,22 @@ impl ServerTelemetry {
         self.tracer.dump()
     }
 
-    /// Assembles one time-series sample from the current state. The
-    /// queue's depth, counters, and per-shard breakdown come from one
-    /// coherent [`snapshot`](ShardedTxQueue::snapshot) — a single lock
-    /// acquisition per shard, not separate `depth()`/`counters()` locks.
-    pub(crate) fn sample(&self, queue: &ShardedTxQueue) -> ObsSample {
+    /// Assembles one time-series sample from the current state and
+    /// advances `window` by one tick. The queue's depth, counters, and
+    /// per-shard breakdown come from one coherent
+    /// [`snapshot`](ShardedTxQueue::snapshot) — a single lock acquisition
+    /// per shard, not separate `depth()`/`counters()` locks.
+    pub(crate) fn sample(&self, queue: &ShardedTxQueue, window: &mut LatencyWindow) -> ObsSample {
         let snap = queue.snapshot();
+        let mut total = LatencyHistogram::new();
         let workers: Vec<WorkerHeapSample> = self
             .slots
             .iter()
-            .map(|slot| slot.lock().expect("worker slot lock").clone())
+            .map(|slot| {
+                let slot = slot.lock().expect("worker slot lock");
+                total.merge(&slot.latency);
+                slot.sample.clone()
+            })
             .collect();
         ObsSample {
             run: self.run.clone(),
@@ -163,10 +188,41 @@ impl ServerTelemetry {
             shed: snap.counters.shed,
             shards: snap.shards,
             completed: workers.iter().map(|w| w.report.completed).sum(),
-            window: self.window.summary(),
+            window: window.tick(total),
             front_end: self.front_end.get().map(|b| FrontEndCounters::sum(b)),
             workers,
         }
+    }
+}
+
+/// A worker's telemetry slot: what it last published.
+struct WorkerSlot {
+    sample: WorkerHeapSample,
+    /// The worker's cumulative latency histogram. Kept beside the sample,
+    /// not in it: samples carry the derived window, not raw buckets.
+    latency: LatencyHistogram,
+}
+
+/// The sampler's memory of the server-wide latency total at each of its
+/// last `WINDOW_SLOTS` ticks.
+#[derive(Default)]
+pub(crate) struct LatencyWindow {
+    totals: VecDeque<LatencyHistogram>,
+}
+
+impl LatencyWindow {
+    /// Records this tick's cumulative `total` and summarizes what
+    /// completed in the last `WINDOW_SLOTS` ticks (everything, while
+    /// fewer have passed).
+    fn tick(&mut self, total: LatencyHistogram) -> LatencySummary {
+        let window = if self.totals.len() == WINDOW_SLOTS {
+            let oldest = self.totals.pop_front().expect("window is full");
+            total.since(&oldest).summary()
+        } else {
+            total.summary()
+        };
+        self.totals.push_back(total);
+        window
     }
 }
 
@@ -189,7 +245,9 @@ pub struct ObsSample {
     /// samples lag by at most one publication interval; the closing
     /// sample is exact.
     pub completed: u64,
-    /// Latency quantiles over the sliding window (not since start).
+    /// Latency quantiles of the completions published in the last
+    /// eight sampling intervals (since start, early in a run).
+    /// Like `completed`, it moves at the workers' publication throttle.
     pub window: LatencySummary,
     /// The network front-end's counters, summed over its threads
     /// (`None` when no front-end is bound in front of the server).
@@ -278,9 +336,10 @@ pub(crate) struct Sampler {
 }
 
 impl Sampler {
-    /// Spawns the sampler thread: every `interval` it rotates the latency
-    /// window, assembles a sample, and appends it as one JSON line to the
-    /// configured output. Returns the collected samples at stop.
+    /// Spawns the sampler thread: every `interval` it assembles a sample,
+    /// advancing the latency window by one tick, and appends it as one
+    /// JSON line to the configured output. Returns the collected samples
+    /// at stop.
     pub(crate) fn spawn(
         telemetry: Arc<ServerTelemetry>,
         queue: Arc<ShardedTxQueue>,
@@ -300,13 +359,13 @@ impl Sampler {
                     )
                 });
                 let mut samples = Vec::new();
+                let mut window = LatencyWindow::default();
                 loop {
                     let stopping = stop2.load(Ordering::Acquire);
                     if !stopping {
                         std::thread::sleep(interval);
                     }
-                    telemetry.window.advance();
-                    let sample = telemetry.sample(&queue);
+                    let sample = telemetry.sample(&queue, &mut window);
                     if let Some(w) = out.as_mut() {
                         let line = serde_json::to_string(&sample).expect("serialize obs sample");
                         w.write_all(line.as_bytes()).expect("write obs sample");
@@ -330,5 +389,39 @@ impl Sampler {
     pub(crate) fn stop(self) -> Vec<ObsSample> {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("obs sampler panicked")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AdmissionPolicy;
+
+    #[test]
+    fn latency_spike_ages_out_of_the_window() {
+        let telemetry = ServerTelemetry::new(&ObsConfig::default(), 1);
+        let queue = ShardedTxQueue::new(1, 4, AdmissionPolicy::Block, 1);
+        let mut window = LatencyWindow::default();
+        let report = WorkerReport::default();
+        let mut latency = LatencyHistogram::new();
+        let mut tick = |latency: &LatencyHistogram| {
+            telemetry.publish(0, HeapSnapshot::default(), &report, latency);
+            telemetry.sample(&queue, &mut window).window
+        };
+        latency.record(1_000_000); // the spike, published before tick 1
+        assert_eq!(tick(&latency).max_ns, 1_000_000);
+        latency.record(100);
+        for t in 2..=WINDOW_SLOTS {
+            let w = tick(&latency);
+            assert_eq!((w.count, w.max_ns), (2, 1_000_000), "tick {t}");
+        }
+        // Tick WINDOW_SLOTS + 1 subtracts the total of tick 1, spike and
+        // all: only the later observation is left, its maximum bounded by
+        // its bucket [64, 128).
+        let w = tick(&latency);
+        assert_eq!((w.count, w.min_ns), (1, 100));
+        assert!((100..128).contains(&w.max_ns), "max {}", w.max_ns);
+        // Nothing new since tick 2: the next window is empty.
+        assert_eq!(tick(&latency), LatencySummary::default());
     }
 }

@@ -21,7 +21,9 @@
 //! [`TxBufferPool`] instead of being dropped, and timing/telemetry is
 //! amortized — one timestamp per drained batch on the dequeue side, one
 //! per transaction at completion, and telemetry publication throttled
-//! to a few times per sampling interval.
+//! to a few times per sampling interval. Each completion's latency is
+//! recorded once, in the worker's own histogram; the sampler derives its
+//! sliding window from the copies the workers publish.
 
 use crate::pool::TxBufferPool;
 use crate::shard::{Fill, ShardedTxQueue};
@@ -223,13 +225,14 @@ impl TxExecutor {
 /// per transaction the unbatched loop paid). Finished op buffers return
 /// to the buffer pool for the load generators to reuse.
 ///
-/// With telemetry attached, every completion also lands in the sliding
-/// latency window (relaxed atomics) and the worker's span ring (reusing
-/// the completion timestamp). The worker's slot (heap snapshot plus its
-/// [`WorkerReport`]) is refreshed at batch boundaries, throttled to
-/// [`ServerTelemetry::publish_every`] so observation cost stays off the
-/// per-transaction path, and once more after the drain with the report
-/// this function returns.
+/// Each completion is recorded once, in the worker's own latency
+/// histogram. With telemetry attached it also lands in the worker's span
+/// ring (reusing the completion timestamp). The worker's slot (heap
+/// snapshot, [`WorkerReport`] and a copy of the latency histogram, from
+/// which the sampler derives its sliding window) is refreshed at batch
+/// boundaries, throttled to [`ServerTelemetry::publish_every`] so
+/// observation cost stays off the per-transaction path, and once more
+/// after the drain with the report and histogram this function returns.
 pub(crate) fn run(
     worker: u64,
     kind: AllocatorKind,
@@ -276,7 +279,6 @@ pub(crate) fn run(
                     .stats()
                     .bytes_requested
                     .saturating_sub(bytes_before);
-                t.window.record(ns);
                 let complete_ns = t.tracer.ns_of(done);
                 let dequeue_ns = complete_ns.saturating_sub(ns.saturating_sub(queue_wait));
                 t.tracer.record(
@@ -288,7 +290,6 @@ pub(crate) fn run(
                         dequeue_ns,
                         complete_ns,
                         bytes_allocated: tx_bytes,
-                        shed: false,
                     },
                 );
             }
@@ -299,26 +300,32 @@ pub(crate) fn run(
         // Publication amortizes over the batch and the throttle.
         if let Some(t) = telemetry.as_deref() {
             if last_publish.is_none_or(|at| batch_start.duration_since(at) >= t.publish_every()) {
-                state.publish(Some(t), &queue);
+                state.publish(Some(t), &queue, &latencies);
                 last_publish = Some(batch_start);
             }
         }
     }
-    // Final publication: the closing sample reads the returned report.
-    state.publish(telemetry.as_deref(), &queue);
+    // Final publication: the closing sample reads the returned report
+    // and histogram.
+    state.publish(telemetry.as_deref(), &queue, &latencies);
     (state.report, latencies)
 }
 
 impl TxExecutor {
     /// Brings the counters the serving loop keeps outside the report up
     /// to date and, with telemetry, publishes the report with a heap
-    /// snapshot into this worker's slot.
-    fn publish(&mut self, telemetry: Option<&ServerTelemetry>, queue: &ShardedTxQueue) {
+    /// snapshot and the worker's `latencies` into this worker's slot.
+    fn publish(
+        &mut self,
+        telemetry: Option<&ServerTelemetry>,
+        queue: &ShardedTxQueue,
+        latencies: &LatencyHistogram,
+    ) {
         let worker = self.report.worker as usize;
         self.report.sim_instructions = self.port.instructions();
         self.report.parks = queue.parks(worker);
         if let Some(t) = telemetry {
-            t.publish(worker, self.heap.heap_snapshot(), &self.report);
+            t.publish(worker, self.heap.heap_snapshot(), &self.report, latencies);
         }
     }
 }

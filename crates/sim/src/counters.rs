@@ -88,11 +88,6 @@ impl EventCounts {
     pub fn data_accesses(&self) -> u64 {
         self.loads + self.stores
     }
-
-    /// Demand misses that had to wait on memory (excludes prefetch-covered).
-    pub fn memory_demand_misses(&self) -> u64 {
-        self.l2_misses
-    }
 }
 
 impl Add for EventCounts {

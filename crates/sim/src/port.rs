@@ -104,13 +104,6 @@ impl ProcessMem {
         &self.mem
     }
 
-    /// Registers a code region directly on the process (equivalent to
-    /// loading a shared object), without needing a live port.
-    pub fn register_code(&mut self, spec: crate::code::CodeSpec) -> crate::code::CodeRegionId {
-        let base = self.mem.os_alloc(spec.len, 4096);
-        self.code.register(base, spec)
-    }
-
     /// Registers a code region at a fixed address — used for text mapped
     /// shared across processes (the interpreter binary): every process
     /// fetching from the same addresses means shared caches keep a single

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! With `--obs-interval`, each run attaches the live telemetry sampler
-//! and prints its final dashboard: queue depth, sliding-window latency
-//! quantiles, and per-worker heap occupancy. `--obs-out` streams every
+//! (the interval must be nonzero) and prints its final dashboard: queue
+//! depth, sliding-window latency quantiles derived from the workers'
+//! histograms, and per-worker heap occupancy. `--obs-out` streams every
 //! sample as JSONL while the server is live (one file per allocator,
 //! suffixed with the allocator id).
 
@@ -24,20 +25,25 @@ use webmm::server::{
 };
 use webmm::workload::phpbb;
 
+/// Parses `10ms`, `1s`, `250us` (bare numbers: milliseconds); zero is
+/// refused, since the sampler would never sleep.
 fn parse_duration(v: &str) -> Option<Duration> {
     let (digits, unit) = v.split_at(v.find(|c: char| !c.is_ascii_digit()).unwrap_or(v.len()));
     let n: u64 = digits.parse().ok()?;
-    match unit {
-        "us" => Some(Duration::from_micros(n)),
-        "ms" | "" => Some(Duration::from_millis(n)),
-        "s" => Some(Duration::from_secs(n)),
-        _ => None,
-    }
+    let d = match unit {
+        "us" => Duration::from_micros(n),
+        "ms" | "" => Duration::from_millis(n),
+        "s" => Duration::from_secs(n),
+        _ => return None,
+    };
+    (!d.is_zero()).then_some(d)
 }
 
 fn usage(problem: &str) -> ! {
     eprintln!("{problem}");
-    eprintln!("usage: native_serving [--obs-interval DUR] [--obs-out FILE]   (DUR like 10ms, 1s)");
+    eprintln!(
+        "usage: native_serving [--obs-interval DUR] [--obs-out FILE]   (DUR like 10ms, 1s; not 0)"
+    );
     std::process::exit(2);
 }
 

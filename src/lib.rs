@@ -21,9 +21,10 @@
 //! * [`profiler`] — the paper's measurement lenses (CPU breakdowns,
 //!   hardware-event deltas, memory consumption);
 //! * [`obs`] — the live versions of those lenses: per-thread typed
-//!   counters, sliding-window latency quantiles, per-allocator heap
-//!   telemetry and transaction span tracing, sampled mid-run and
-//!   exported as JSONL time series;
+//!   counters, per-worker latency histograms (from which the sampler
+//!   derives sliding-window quantiles), per-allocator heap telemetry and
+//!   transaction span tracing, sampled mid-run and exported as JSONL
+//!   time series;
 //! * [`server`] — the native serving harness: the same allocators on real
 //!   OS worker threads (one heap each) behind a bounded ingress queue
 //!   with block/reject/shed-oldest admission control and log2 latency
