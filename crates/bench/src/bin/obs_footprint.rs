@@ -4,7 +4,9 @@
 //! Figure 9 reports end-of-run memory-consumption ratios; this bin shows
 //! *how they get there*. It replays a single transaction op-by-op against
 //! the region allocator and DDmalloc (plus the Zend default as baseline),
-//! sampling `heap_snapshot()` every few operations. The region
+//! through the runtime's `OpInterpreter` with the native worker's
+//! end-of-transaction policy (`EndTx::EmptyHeap`), sampling
+//! `heap_snapshot()` every few operations. The region
 //! allocator's touched footprint is monotone — no per-object free means
 //! every short-lived object stays hot until `freeAll` — while DDmalloc's
 //! free lists absorb and recycle the churn, so its touched curve flattens
@@ -17,9 +19,9 @@
 //! ```
 
 use webmm_alloc::{Allocator, AllocatorKind, HeapTelemetry};
-use webmm_obs::HeapSnapshot;
 use webmm_profiler::report::{bytes, heading, table};
-use webmm_sim::{Addr, PlainPort};
+use webmm_runtime::{EndTx, OpInterpreter};
+use webmm_sim::{MemoryPort, PageSize, PlainPort};
 use webmm_workload::{by_name, TxStream, WorkOp};
 
 /// One sampled point of the footprint curve.
@@ -48,7 +50,8 @@ struct FootprintSeries {
     series: Vec<FootprintPoint>,
 }
 
-fn point(op: u64, snap: &HeapSnapshot) -> FootprintPoint {
+fn point(op: u64, interp: &OpInterpreter) -> FootprintPoint {
+    let snap = interp.heap().heap_snapshot();
     FootprintPoint {
         op,
         live: snap.live_objects(),
@@ -59,7 +62,8 @@ fn point(op: u64, snap: &HeapSnapshot) -> FootprintPoint {
 }
 
 /// Replays one transaction against a fresh heap, snapshotting every
-/// `every` ops, then `freeAll`s and takes a closing sample.
+/// `every` ops, then ends it as a native worker does (emptying the heap)
+/// and takes a closing sample.
 fn run_one(
     kind: AllocatorKind,
     workload: &str,
@@ -80,62 +84,28 @@ fn run_one(
             eprintln!("unknown workload `{workload}`");
             std::process::exit(2);
         });
-    let mut stream = TxStream::new(spec, scale, seed);
     let mut port = PlainPort::new();
-    let mut heap = kind.build(0);
-    let per_object_free = heap.alloc_traits().per_object_free;
-    // Live objects: workload id → (address, size); sizes feed realloc for
-    // headerless allocators.
-    let mut objects: std::collections::HashMap<u64, (Addr, u64)> = std::collections::HashMap::new();
-    let mut series = vec![point(0, &heap.heap_snapshot())];
+    let static_base = port.os_alloc(spec.static_bytes.max(4096), 4096, PageSize::Base);
+    let mut stream = TxStream::new(spec, scale, seed);
+    let mut interp = OpInterpreter::new(kind.build(0), static_base, (), EndTx::EmptyHeap);
+    let mut series = vec![point(0, &interp)];
     let mut op_idx = 0u64;
     loop {
         let op = stream.next_op();
         op_idx += 1;
-        match op {
-            WorkOp::Malloc { id, size } => {
-                let addr = heap.malloc(&mut port, size).expect("heap sized for one tx");
-                objects.insert(id, (addr, size));
-            }
-            WorkOp::Free { id } => {
-                if let Some((addr, _)) = objects.remove(&id) {
-                    if per_object_free {
-                        heap.free(&mut port, addr);
-                    } else {
-                        // The porting recipe omits frees for bulk-only
-                        // allocators; the object stays until freeAll.
-                        objects.insert(id, (addr, 0));
-                    }
-                }
-            }
-            WorkOp::Realloc { id, new_size } => {
-                if let Some(&(addr, old_size)) = objects.get(&id) {
-                    let moved = heap
-                        .realloc(&mut port, addr, old_size, new_size)
-                        .expect("heap sized for one tx");
-                    objects.insert(id, (moved, new_size));
-                }
-            }
-            // Application work moves no allocator state.
-            WorkOp::Touch { .. } | WorkOp::Compute { .. } | WorkOp::StaticTouch { .. } => {}
-            WorkOp::EndTx => break,
+        if op == WorkOp::EndTx {
+            break;
         }
+        interp.step(&mut port, op);
         if op_idx.is_multiple_of(every) {
-            series.push(point(op_idx, &heap.heap_snapshot()));
+            series.push(point(op_idx, &interp));
         }
     }
-    series.push(point(op_idx, &heap.heap_snapshot()));
-    if heap.alloc_traits().bulk_free {
-        heap.free_all(&mut port);
-    } else {
-        for (addr, _) in objects.values() {
-            heap.free(&mut port, *addr);
-        }
-    }
-    objects.clear();
-    series.push(point(op_idx, &heap.heap_snapshot()));
+    series.push(point(op_idx, &interp));
+    interp.step(&mut port, WorkOp::EndTx);
+    series.push(point(op_idx, &interp));
     FootprintSeries {
-        allocator: heap.name().to_string(),
+        allocator: interp.heap().name().to_string(),
         workload: workload.to_string(),
         scale,
         series,

@@ -17,6 +17,10 @@
 
 pub mod report;
 
+// `webmm-server` reaches the op interpreter through this crate: a direct
+// edge to `webmm-runtime` would rewrite `perfbench/Cargo.lock`.
+pub use webmm_runtime::{EndTx, OpInterpreter};
+
 use serde::Serialize;
 use webmm_runtime::RunResult;
 

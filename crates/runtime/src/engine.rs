@@ -11,7 +11,7 @@
 use crate::process::{AllocatorSpec, Process, StepEvent};
 use crate::throughput::{solve, Throughput};
 use serde::Serialize;
-use webmm_alloc::{AllocatorKind, DdConfig, Footprint};
+use webmm_alloc::{Allocator, AllocatorKind, DdConfig, Footprint};
 use webmm_sim::{CategorizedCounts, MachineConfig, MemHierarchy};
 use webmm_workload::WorkloadSpec;
 
@@ -233,7 +233,7 @@ pub fn run(machine: &MachineConfig, cfg: &RunConfig) -> RunResult {
     let mut hier = MemHierarchy::new(machine);
     let mut procs: Vec<Process> = (0..contexts)
         .map(|ctx| {
-            Process::with_free_all(
+            Process::new(
                 ctx as u32,
                 allocator.clone(),
                 workload.clone(),
@@ -307,7 +307,7 @@ pub fn run(machine: &MachineConfig, cfg: &RunConfig) -> RunResult {
 
     RunResult {
         machine: machine.name.clone(),
-        allocator: procs[0].allocator_name().to_string(),
+        allocator: procs[0].interp().heap().name().to_string(),
         allocator_id: cfg.allocator.kind.id().to_string(),
         workload: cfg.workload.name.to_string(),
         scale: cfg.scale,

@@ -8,8 +8,10 @@
 //! measured hardware events into cycles, throughput, and the paper's
 //! CPU-time breakdowns.
 //!
-//! * [`Process`] — one runtime process: address space + allocator +
-//!   workload stream + object table (with Ruby-style periodic restart).
+//! * [`OpInterpreter`] — the one op loop, shared with `webmm-server`'s
+//!   native workers; each caller picks its [`EndTx`] policy.
+//! * [`Process`] — one runtime process: address space + workload stream +
+//!   interpreter (with Ruby-style periodic restart).
 //! * [`run`] / [`RunConfig`] / [`RunResult`] — one measurement.
 //! * [`solve`] / [`Throughput`] — the contention model (out-of-order
 //!   overlap on Xeon, 4-way fine-grained SMT on Niagara, shared-bus
@@ -33,9 +35,11 @@
 #![warn(rust_2018_idioms)]
 
 mod engine;
+mod interp;
 mod process;
 mod throughput;
 
 pub use engine::{run, RunConfig, RunResult};
+pub use interp::{AppCode, EndTx, OpInterpreter};
 pub use process::{AllocatorSpec, Process, StepEvent};
 pub use throughput::{solve, Throughput};

@@ -2,17 +2,16 @@
 //!
 //! The paper runs 16 single-threaded PHP runtime processes on Xeon and 48
 //! on Niagara (one heap per process, no locks — DDmalloc §3.3 item 3).
-//! A [`Process`] bundles one process's address space, its allocator, its
-//! workload stream, and the object table mapping stream object ids to
-//! allocator addresses. It executes one [`WorkOp`] at a time against a
+//! A [`Process`] bundles one process's address space, its workload
+//! stream, and an [`OpInterpreter`] holding its heap and object table. It
+//! feeds the interpreter one [`WorkOp`] at a time through a
 //! [`ContextPort`], so the multicore engine can interleave many processes
-//! through the shared memory hierarchy.
+//! through the shared memory hierarchy. Survivors of a transaction stay
+//! live unless the runtime calls `freeAll` ([`EndTx::KeepSurvivors`]).
 
-use std::collections::HashMap;
+use crate::interp::{EndTx, OpInterpreter};
 use webmm_alloc::{Allocator, AllocatorKind, DdConfig, Footprint, Heap};
-use webmm_sim::{
-    Addr, Category, CodeRegionId, CodeSpec, ContextPort, MemHierarchy, MemoryPort, ProcessMem,
-};
+use webmm_sim::{Addr, CodeRegionId, CodeSpec, ContextPort, MemHierarchy, ProcessMem};
 use webmm_workload::{TxStream, WorkOp, WorkloadSpec};
 
 /// Application (interpreter) code footprint: PHP/Ruby interpreters are
@@ -80,12 +79,9 @@ impl AllocatorSpec {
 /// One simulated runtime process.
 pub struct Process {
     mem: ProcessMem,
-    alloc: Heap,
+    interp: OpInterpreter<CodeRegionId>,
     alloc_spec: AllocatorSpec,
     stream: TxStream,
-    objects: HashMap<u64, (Addr, u64)>,
-    static_base: Addr,
-    app_code: CodeRegionId,
     pid: u32,
     generation: u32,
     scale: u32,
@@ -94,9 +90,6 @@ pub struct Process {
     tx_since_restart: u64,
     /// Restart the process every N transactions (Ruby study), if set.
     restart_every: Option<u64>,
-    /// Whether the runtime calls `freeAll` at transaction end (PHP: yes;
-    /// the Ruby runtime of §4.4: no, even for allocators that support it).
-    use_free_all: bool,
     /// Pending restart charge in instructions (applied on the next step).
     pending_restart_instr: u64,
     peak_footprint: Footprint,
@@ -106,7 +99,7 @@ impl std::fmt::Debug for Process {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Process")
             .field("pid", &self.pid)
-            .field("allocator", &self.alloc.name())
+            .field("allocator", &self.interp.heap().name())
             .field("workload", &self.stream.spec().name)
             .field("tx_completed", &self.tx_completed)
             .field("generation", &self.generation)
@@ -121,6 +114,8 @@ impl Process {
     /// * `alloc_spec` — allocator to run.
     /// * `workload` / `scale` / `seed` — the transaction stream.
     /// * `restart_every` — Ruby-style periodic restart, if any.
+    /// * `free_all` — whether the runtime calls `freeAll` at
+    ///   transaction end (§4.4 runs every allocator without it).
     pub fn new(
         pid: u32,
         alloc_spec: AllocatorSpec,
@@ -128,35 +123,15 @@ impl Process {
         scale: u32,
         seed: u64,
         restart_every: Option<u64>,
+        free_all: bool,
     ) -> Self {
-        Self::with_free_all(pid, alloc_spec, workload, scale, seed, restart_every, true)
-    }
-
-    /// Like [`Process::new`], with explicit control over whether `freeAll`
-    /// is invoked at transaction boundaries (§4.4 runs every allocator —
-    /// including DDmalloc — without it).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_free_all(
-        pid: u32,
-        alloc_spec: AllocatorSpec,
-        workload: WorkloadSpec,
-        scale: u32,
-        seed: u64,
-        restart_every: Option<u64>,
-        use_free_all: bool,
-    ) -> Self {
-        let mut mem = ProcessMem::new(Self::base(pid, 0));
-        let app_code = mem.register_code_at(Addr::new(APP_CODE_BASE), APP_CODE);
-        let static_base = Addr::new(STATIC_BASE);
-        let alloc = alloc_spec.build(pid);
+        let end_tx = EndTx::KeepSurvivors { free_all };
+        let (mem, interp, stream) = boot(pid, 0, &alloc_spec, workload, scale, seed, end_tx);
         Process {
             mem,
-            alloc,
+            interp,
             alloc_spec,
-            stream: TxStream::new(workload, scale, seed ^ (u64::from(pid) << 32)),
-            objects: HashMap::new(),
-            static_base,
-            app_code,
+            stream,
             pid,
             generation: 0,
             scale,
@@ -164,16 +139,9 @@ impl Process {
             tx_completed: 0,
             tx_since_restart: 0,
             restart_every,
-            use_free_all,
             pending_restart_instr: 0,
             peak_footprint: Footprint::default(),
         }
-    }
-
-    fn base(pid: u32, generation: u32) -> u64 {
-        // Distinct, widely spaced physical bases per process and per
-        // process generation (a restarted process gets fresh pages).
-        (u64::from(pid) + 1) << 40 | (u64::from(generation) << 34)
     }
 
     /// Transactions completed since creation.
@@ -181,19 +149,14 @@ impl Process {
         self.tx_completed
     }
 
-    /// The allocator's display name.
-    pub fn allocator_name(&self) -> &'static str {
-        self.alloc.name()
-    }
-
     /// Largest footprint observed at any transaction end.
     pub fn peak_footprint(&self) -> Footprint {
         self.peak_footprint
     }
 
-    /// Live objects right now (for white-box tests).
-    pub fn live_objects(&self) -> usize {
-        self.objects.len()
+    /// The current generation's interpreter: heap, live objects, orphans.
+    pub fn interp(&self) -> &OpInterpreter<CodeRegionId> {
+        &self.interp
     }
 
     /// Executes one workload operation on hardware context `ctx` of
@@ -201,121 +164,75 @@ impl Process {
     ///
     /// # Panics
     ///
-    /// Panics if the allocator reports out-of-memory: the experiment heaps
-    /// are sized so that OOM indicates a configuration error, and silently
-    /// degrading would corrupt the measurements.
+    /// Panics if the heap runs out of memory (a configuration error).
     pub fn step(&mut self, hier: &mut MemHierarchy, ctx: usize) -> StepEvent {
         let mut port = ContextPort::new(&mut self.mem, hier, ctx);
         if self.pending_restart_instr > 0 {
-            // Charge the restart boot cost (interpreter + framework load).
-            port.set_category(Category::Application);
-            port.set_code_region(self.app_code);
-            port.exec(self.pending_restart_instr);
-            self.pending_restart_instr = 0;
+            // Charge the restart boot (interpreter + framework load).
+            let instr = std::mem::take(&mut self.pending_restart_instr);
+            self.interp.step(&mut port, WorkOp::Compute { instr });
         }
         let op = self.stream.next_op();
-        match op {
-            WorkOp::Malloc { id, size } => {
-                let addr = self
-                    .alloc
-                    .malloc(&mut port, size)
-                    .unwrap_or_else(|e| panic!("pid {}: {e}", self.pid));
-                self.objects.insert(id, (addr, size));
-                StepEvent::Op
-            }
-            WorkOp::Free { id } => {
-                let (addr, _) = self
-                    .objects
-                    .remove(&id)
-                    .expect("stream frees only live ids");
-                if self.alloc.alloc_traits().per_object_free {
-                    self.alloc.free(&mut port, addr);
-                }
-                // Without per-object free (region/obstack) the call is
-                // removed entirely, per the paper's porting recipe.
-                StepEvent::Op
-            }
-            WorkOp::Realloc { id, new_size } => {
-                let (addr, old) = *self.objects.get(&id).expect("realloc of live id");
-                let new_addr = self
-                    .alloc
-                    .realloc(&mut port, addr, old, new_size)
-                    .unwrap_or_else(|e| panic!("pid {}: {e}", self.pid));
-                self.objects.insert(id, (new_addr, new_size));
-                StepEvent::Op
-            }
-            WorkOp::Touch { id, write } => {
-                let (addr, size) = *self.objects.get(&id).expect("touch of live id");
-                port.set_category(Category::Application);
-                port.set_code_region(self.app_code);
-                port.touch(addr, size, write);
-                StepEvent::Op
-            }
-            WorkOp::Compute { instr } => {
-                port.set_category(Category::Application);
-                port.set_code_region(self.app_code);
-                port.exec(instr);
-                StepEvent::Op
-            }
-            WorkOp::StaticTouch { offset, len } => {
-                port.set_category(Category::Application);
-                port.set_code_region(self.app_code);
-                port.touch(self.static_base + offset, len, false);
-                StepEvent::Op
-            }
-            WorkOp::EndTx => {
-                if self.use_free_all && self.alloc.alloc_traits().bulk_free {
-                    self.alloc.free_all(&mut port);
-                    self.objects.clear();
-                }
-                self.tx_completed += 1;
-                self.tx_since_restart += 1;
-                let fp = self.alloc.footprint();
-                if fp.heap_bytes + fp.metadata_bytes
-                    > self.peak_footprint.heap_bytes + self.peak_footprint.metadata_bytes
-                {
-                    self.peak_footprint.heap_bytes = fp.heap_bytes;
-                    self.peak_footprint.metadata_bytes = fp.metadata_bytes;
-                }
-                self.peak_footprint.peak_tx_alloc_bytes = self
-                    .peak_footprint
-                    .peak_tx_alloc_bytes
-                    .max(fp.peak_tx_alloc_bytes);
-                if self
-                    .restart_every
-                    .is_some_and(|n| self.tx_since_restart >= n)
-                {
-                    self.restart();
-                    StepEvent::TxDoneRestarted
-                } else {
-                    StepEvent::TxDone
-                }
-            }
+        self.interp.step(&mut port, op);
+        if op != WorkOp::EndTx {
+            return StepEvent::Op;
+        }
+        self.tx_completed += 1;
+        self.tx_since_restart += 1;
+        let fp = self.interp.heap().footprint();
+        let peak = &mut self.peak_footprint;
+        if fp.heap_bytes + fp.metadata_bytes > peak.heap_bytes + peak.metadata_bytes {
+            (peak.heap_bytes, peak.metadata_bytes) = (fp.heap_bytes, fp.metadata_bytes);
+        }
+        peak.peak_tx_alloc_bytes = peak.peak_tx_alloc_bytes.max(fp.peak_tx_alloc_bytes);
+        if self
+            .restart_every
+            .is_some_and(|n| self.tx_since_restart >= n)
+        {
+            self.restart();
+            StepEvent::TxDoneRestarted
+        } else {
+            StepEvent::TxDone
         }
     }
 
-    /// Tears the process down and boots a fresh one: new address space
-    /// (fresh physical pages), new allocator, and a new workload stream —
-    /// a restarted interpreter serves statistically identical transactions
-    /// but shares no live state with its predecessor.
+    /// Tears the process down and boots its next generation.
     fn restart(&mut self) {
         self.generation += 1;
-        self.mem = ProcessMem::new(Self::base(self.pid, self.generation));
-        self.app_code = self
-            .mem
-            .register_code_at(Addr::new(APP_CODE_BASE), APP_CODE);
-        let spec = self.stream.spec().clone();
-        self.static_base = Addr::new(STATIC_BASE);
-        self.alloc = self.alloc_spec.build(self.pid);
-        self.stream = TxStream::new(
-            spec,
+        let workload = self.stream.spec().clone();
+        let end_tx = self.interp.end_tx_policy();
+        (self.mem, self.interp, self.stream) = boot(
+            self.pid,
+            self.generation,
+            &self.alloc_spec,
+            workload,
             self.scale,
-            self.seed ^ (u64::from(self.pid) << 32) ^ (u64::from(self.generation) << 16),
+            self.seed,
+            end_tx,
         );
-        self.objects.clear();
         self.tx_since_restart = 0;
         self.pending_restart_instr = RESTART_INSTR / u64::from(self.scale);
     }
+}
+
+/// Boots generation `generation` of process `pid`: fresh pages, heap,
+/// interpreter and stream, sharing no live state with the last generation.
+fn boot(
+    pid: u32,
+    generation: u32,
+    alloc_spec: &AllocatorSpec,
+    workload: WorkloadSpec,
+    scale: u32,
+    seed: u64,
+    end_tx: EndTx,
+) -> (ProcessMem, OpInterpreter<CodeRegionId>, TxStream) {
+    // Distinct, widely spaced physical bases per process and generation.
+    let mut mem = ProcessMem::new((u64::from(pid) + 1) << 40 | (u64::from(generation) << 34));
+    let app_code = mem.register_code_at(Addr::new(APP_CODE_BASE), APP_CODE);
+    let heap = alloc_spec.build(pid);
+    let interp = OpInterpreter::new(heap, Addr::new(STATIC_BASE), app_code, end_tx);
+    let seed = seed ^ (u64::from(pid) << 32) ^ (u64::from(generation) << 16);
+    (mem, interp, TxStream::new(workload, scale, seed))
 }
 
 #[cfg(test)]
@@ -339,7 +256,7 @@ mod tests {
         let machine = MachineConfig::xeon_clovertown();
         for kind in AllocatorKind::PHP_STUDY {
             let mut hier = MemHierarchy::new(&machine);
-            let mut proc = Process::new(0, AllocatorSpec::new(kind), phpbb(), 64, 42, None);
+            let mut proc = Process::new(0, AllocatorSpec::new(kind), phpbb(), 64, 42, None, true);
             let txs = run_ops(&mut proc, &mut hier, 20_000);
             assert!(txs >= 2, "{kind}: expected at least 2 transactions");
             assert_eq!(proc.transactions(), txs);
@@ -357,7 +274,7 @@ mod tests {
         use webmm_workload::rails;
         let machine = MachineConfig::xeon_clovertown();
         let mut hier = webmm_sim::MemHierarchy::new(&machine);
-        let mut proc = Process::with_free_all(
+        let mut proc = Process::new(
             0,
             AllocatorSpec::new(AllocatorKind::Dl),
             rails(),
@@ -373,7 +290,7 @@ mod tests {
                 restarts += 1;
                 // After a restart the object table is empty and the next
                 // transactions still run fine on the fresh allocator.
-                assert_eq!(proc.live_objects(), 0);
+                assert_eq!(proc.interp().live_objects(), 0);
             }
             steps += 1;
         }
@@ -388,7 +305,7 @@ mod tests {
         let mut hier = webmm_sim::MemHierarchy::new(&machine);
         // DDmalloc in Ruby mode: bulk-free capable, but the runtime never
         // calls freeAll (§4.4).
-        let mut proc = Process::with_free_all(
+        let mut proc = Process::new(
             0,
             AllocatorSpec::new(AllocatorKind::DdMalloc),
             rails(),
@@ -404,7 +321,10 @@ mod tests {
                 txs += 1;
                 // Cross-transaction Rails objects stay live across EndTx.
                 if txs >= 2 {
-                    assert!(proc.live_objects() > 0, "no freeAll: survivors persist");
+                    assert!(
+                        proc.interp().live_objects() > 0,
+                        "no freeAll: survivors persist"
+                    );
                 }
             }
             steps += 1;
@@ -417,7 +337,7 @@ mod tests {
         let machine = MachineConfig::xeon_clovertown();
         let share = |kind: AllocatorKind| {
             let mut hier = MemHierarchy::new(&machine);
-            let mut proc = Process::new(0, AllocatorSpec::new(kind), phpbb(), 64, 42, None);
+            let mut proc = Process::new(0, AllocatorSpec::new(kind), phpbb(), 64, 42, None, true);
             run_ops(&mut proc, &mut hier, 30_000);
             let c = hier.counters(0);
             c.mm.instructions as f64 / (c.mm.instructions + c.app.instructions) as f64

@@ -17,10 +17,9 @@
 //!   applies per shard, every outcome is counted, and the accounting
 //!   identity holds across steals;
 //! * worker threads — one [`PlainPort`](webmm_sim::PlainPort) address
-//!   space and one heap each, replaying the workload's
-//!   malloc/free/freeAll schedule; `freeAll` (or a survivor sweep for
-//!   allocators without bulk free) empties the heap at every transaction
-//!   boundary;
+//!   space and one heap each, replaying transactions through the
+//!   simulator's op interpreter, which empties the heap at every
+//!   transaction end;
 //! * [`TxFactory`] + [`drive_closed`] / [`drive_open`] — deterministic
 //!   transaction production under closed- or open-loop arrival models;
 //! * [`TxBufferPool`] — transaction op buffers recycled from completed

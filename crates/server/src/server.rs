@@ -193,7 +193,7 @@ impl Server {
             per_worker.push(report);
         }
         // The run ends when the last worker joins: stopping the sampler
-        // waits out its current sleep, which is not serving time.
+        // takes its closing sample, which is not serving time.
         let wall_ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let samples = self.sampler.map(Sampler::stop).unwrap_or_default();
         let counters = self.queue.counters();

@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError::Timeout};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -331,7 +331,7 @@ pub fn render_dashboard(sample: &ObsSample) -> String {
 /// Handle to the sampler thread; dropped into the [`Server`](crate::Server)
 /// and stopped at drain time.
 pub(crate) struct Sampler {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: JoinHandle<Vec<ObsSample>>,
 }
 
@@ -345,8 +345,7 @@ impl Sampler {
         queue: Arc<ShardedTxQueue>,
         config: &ObsConfig,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let interval = config.interval;
         let out_path = config.out.clone();
         let handle = std::thread::Builder::new()
@@ -361,10 +360,8 @@ impl Sampler {
                 let mut samples = Vec::new();
                 let mut window = LatencyWindow::default();
                 loop {
-                    let stopping = stop2.load(Ordering::Acquire);
-                    if !stopping {
-                        std::thread::sleep(interval);
-                    }
+                    // One interval, cut short when `stop` hangs up.
+                    let stopping = stopped.recv_timeout(interval) != Err(Timeout);
                     let sample = telemetry.sample(&queue, &mut window);
                     if let Some(w) = out.as_mut() {
                         let line = serde_json::to_string(&sample).expect("serialize obs sample");
@@ -387,7 +384,7 @@ impl Sampler {
 
     /// Stops the sampler after one final sample and returns the series.
     pub(crate) fn stop(self) -> Vec<ObsSample> {
-        self.stop.store(true, Ordering::Release);
+        drop(self.stop);
         self.handle.join().expect("obs sampler panicked")
     }
 }

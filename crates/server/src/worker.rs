@@ -3,27 +3,26 @@
 //! Each worker mirrors a PHP worker process from the paper's serving model
 //! (§2.1): it owns a private [`PlainPort`] address space and a private
 //! [`Heap`] built in-place from the `Copy + Send` [`AllocatorKind`] tag,
-//! and replays whole transactions against them. Every heap call is
-//! statically dispatched: one `match` on the allocator kind, then the
-//! allocator's code monomorphized for `PlainPort`, with the port's loads,
-//! stores and instruction charges inlined into it. Natively, an
-//! allocator's fast path thus costs roughly what its simulated metadata
-//! work costs, not that work plus a virtual call per access. At every transaction
-//! boundary the heap is returned to empty — by `freeAll` where the
-//! allocator supports bulk free (the paper's porting recipe), by
-//! per-object frees of the survivors otherwise — so transactions never
-//! leak state into each other and a worker can serve forever.
+//! and replays whole transactions against them through the simulator's
+//! [`OpInterpreter`]. Every heap call is statically dispatched: one
+//! `match` on the allocator kind, then the allocator's code monomorphized
+//! for `PlainPort`, with the port's loads, stores and instruction charges
+//! inlined into it. Natively, an allocator's fast path thus costs roughly
+//! what its simulated metadata work costs, not that work plus a virtual
+//! call per access. Each transaction's end empties the heap
+//! ([`EndTx::EmptyHeap`]), so transactions never leak state into each
+//! other and a worker can serve forever. Unlike the simulator, the worker
+//! writes every fresh allocation once more (`initializing_write`).
 //!
 //! The steady-state serving loop is **allocation-free and hash-free**
-//! (proven by `tests/alloc_audit.rs`): the live-object map is a dense
-//! generation-stamped [`ObjectTable`] (ids index a ring directly, `EndTx`
-//! cleanup is a generation bump), finished op buffers return to the
-//! [`TxBufferPool`] instead of being dropped, and timing/telemetry is
-//! amortized — one timestamp per drained batch on the dequeue side, one
-//! per transaction at completion, and telemetry publication throttled
-//! to a few times per sampling interval. Each completion's latency is
-//! recorded once, in the worker's own histogram; the sampler derives its
-//! sliding window from the copies the workers publish.
+//! (proven by `tests/alloc_audit.rs`): the interpreter's object table is
+//! dense (no hashing, a generation bump at `freeAll`), finished op
+//! buffers return to the [`TxBufferPool`] instead of being dropped, and
+//! timing/telemetry is amortized — one timestamp per drained batch on the
+//! dequeue side, one per transaction at completion, and publication
+//! throttled to a few times per sampling interval. Each completion's
+//! latency is recorded once, in the worker's own histogram; the sampler
+//! derives its sliding window from the copies the workers publish.
 
 use crate::pool::TxBufferPool;
 use crate::shard::{Fill, ShardedTxQueue};
@@ -33,8 +32,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use webmm_alloc::{Allocator, AllocatorKind, Heap, HeapTelemetry};
 use webmm_obs::{LatencyHistogram, TxSpan};
+use webmm_profiler::{EndTx, OpInterpreter};
 use webmm_sim::{Addr, MemoryPort, PageSize, PlainPort};
-use webmm_workload::{ObjectTable, WorkOp};
+use webmm_workload::WorkOp;
 
 /// Per-worker outcome counters, serialized into the server report.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -64,8 +64,8 @@ pub struct WorkerReport {
 }
 
 /// The transaction execution engine a worker thread owns: one private
-/// heap, one address space, and the dense live-object table mapping
-/// workload ids to heap addresses.
+/// address space, and an interpreter holding one private heap and the
+/// table mapping workload ids to heap addresses.
 ///
 /// Public so benches (perfbench) and audits (`alloc_audit`) can
 /// drive the exact hot loop a worker runs, without threads or queues
@@ -73,17 +73,8 @@ pub struct WorkerReport {
 /// deliberate: only the `Copy + Send` kind tag crosses the spawn
 /// boundary, the heap itself is born on the thread that will use it.
 pub struct TxExecutor {
-    heap: Heap,
+    interp: OpInterpreter,
     port: PlainPort,
-    /// Live objects: workload id → (address, current size). Ids are
-    /// handed out by the load generator's monotonic counter, so the
-    /// dense generation-stamped table replaces the original `HashMap`:
-    /// no hashing per op, and `EndTx` cleanup is a generation bump
-    /// instead of a bucket walk. Ids the table never admitted (or that
-    /// expired at a transaction boundary) miss exactly where the map
-    /// would, keeping orphan detection exact.
-    objects: ObjectTable<(Addr, u64)>,
-    static_base: Addr,
     report: WorkerReport,
 }
 
@@ -93,11 +84,10 @@ impl TxExecutor {
     pub fn new(worker: u64, kind: AllocatorKind, static_bytes: u64) -> Self {
         let mut port = PlainPort::new();
         let static_base = port.os_alloc(static_bytes.max(4096), 4096, PageSize::Base);
+        let heap = kind.build(worker as u32);
         TxExecutor {
-            heap: kind.build(worker as u32),
+            interp: OpInterpreter::new(heap, static_base, (), EndTx::EmptyHeap),
             port,
-            objects: ObjectTable::with_capacity(1024),
-            static_base,
             report: WorkerReport {
                 worker,
                 ..WorkerReport::default()
@@ -111,11 +101,6 @@ impl TxExecutor {
         &self.report
     }
 
-    /// Objects currently live in the table (0 between transactions).
-    pub fn live_objects(&self) -> u64 {
-        self.objects.len() as u64
-    }
-
     /// Total simulated instructions retired by this executor's port.
     pub fn sim_instructions(&self) -> u64 {
         self.port.instructions()
@@ -123,90 +108,36 @@ impl TxExecutor {
 
     /// This executor's heap (for its stats, footprint and snapshot).
     pub fn heap(&self) -> &Heap {
-        &self.heap
+        self.interp.heap()
     }
 
     /// Replays one transaction's operations against this worker's heap.
     ///
     /// # Panics
     ///
-    /// Panics on allocator out-of-memory: heaps are sized so OOM means a
-    /// misconfiguration, and degrading silently would skew the histograms.
+    /// Panics on allocator out-of-memory (see [`OpInterpreter::step`]).
     pub fn execute(&mut self, ops: &[WorkOp]) {
-        for op in ops {
-            match *op {
-                WorkOp::Malloc { id, size } => {
-                    let addr = self
-                        .heap
-                        .malloc(&mut self.port, size)
-                        .unwrap_or_else(|e| panic!("worker {}: {e}", self.report.worker));
-                    self.port.touch(addr, size, true); // initializing write
-                    self.objects.insert(id, (addr, size));
-                    self.report.bytes_touched += size;
-                }
-                WorkOp::Free { id } => match self.objects.remove(id) {
-                    Some((addr, _)) => {
-                        if self.heap.alloc_traits().per_object_free {
-                            self.heap.free(&mut self.port, addr);
-                        }
-                        // Without per-object free (region/obstack) the
-                        // call is elided, per the paper's porting recipe.
-                    }
-                    None => self.report.orphan_ops += 1,
-                },
-                WorkOp::Realloc { id, new_size } => match self.objects.get(id) {
-                    Some((addr, old)) => {
-                        let new_addr = self
-                            .heap
-                            .realloc(&mut self.port, addr, old, new_size)
-                            .unwrap_or_else(|e| panic!("worker {}: {e}", self.report.worker));
-                        self.objects.insert(id, (new_addr, new_size));
-                        self.report.bytes_touched += new_size.saturating_sub(old);
-                    }
-                    None => self.report.orphan_ops += 1,
-                },
-                WorkOp::Touch { id, write } => match self.objects.get(id) {
-                    Some((addr, size)) => {
-                        self.port.touch(addr, size, write);
-                        self.report.bytes_touched += size;
-                    }
-                    None => self.report.orphan_ops += 1,
-                },
-                WorkOp::Compute { instr } => self.port.exec(instr),
-                WorkOp::StaticTouch { offset, len } => {
-                    self.port.touch(self.static_base + offset, len, false);
-                    self.report.bytes_touched += len;
-                }
-                WorkOp::EndTx => self.end_tx(),
+        for &op in ops {
+            if let Some((addr, size)) = self.interp.step(&mut self.port, op) {
+                self.initializing_write(addr, size);
             }
         }
         // Transactions produced by the load generator end with EndTx; be
         // robust to hand-built ones that do not.
         if !ops.ends_with(&[WorkOp::EndTx]) {
-            self.end_tx();
+            self.interp.end_tx(&mut self.port);
         }
+        let (live, report) = (self.interp.live_objects() as u64, &mut self.report);
+        report.max_live_after_tx = report.max_live_after_tx.max(live);
+        report.bytes_touched = self.interp.bytes_touched;
+        report.orphan_ops = self.interp.orphan_ops;
     }
 
-    /// End-of-transaction cleanup: the PHP runtime's `freeAll` hook where
-    /// the allocator has one, a survivor sweep where it does not. Either
-    /// way the object table empties in O(1) of hashing: a generation bump
-    /// for bulk free, a ring sweep (no rehash, no dealloc) otherwise.
-    fn end_tx(&mut self) {
-        let traits = self.heap.alloc_traits();
-        if traits.bulk_free {
-            self.heap.free_all(&mut self.port);
-            self.objects.clear();
-        } else {
-            let heap = &mut self.heap;
-            let port = &mut self.port;
-            self.objects.drain(|_, (addr, _)| {
-                if traits.per_object_free {
-                    heap.free(port, addr);
-                }
-            });
-        }
-        let live = self.objects.len() as u64;
-        self.report.max_live_after_tx = self.report.max_live_after_tx.max(live);
+    /// The native extra write of each fresh allocation, on top of the write
+    /// `Touch` the stream emits after it; removing it changes pinned counts.
+    fn initializing_write(&mut self, addr: Addr, size: u64) {
+        self.port.touch(addr, size, true);
+        self.interp.bytes_touched += size;
     }
 }
 
@@ -262,7 +193,7 @@ pub(crate) fn run(
                 .saturating_duration_since(queued.enqueued)
                 .as_nanos()
                 .min(u128::from(u64::MAX)) as u64;
-            let bytes_before = state.heap.stats().bytes_requested;
+            let bytes_before = state.heap().stats().bytes_requested;
             state.execute(&queued.tx.ops);
             state.report.completed += 1;
             // The only per-transaction clock read: completion time, from
@@ -275,7 +206,7 @@ pub(crate) fn run(
             latencies.record(ns);
             if let Some(t) = telemetry.as_deref() {
                 let tx_bytes = state
-                    .heap
+                    .heap()
                     .stats()
                     .bytes_requested
                     .saturating_sub(bytes_before);
@@ -325,7 +256,7 @@ impl TxExecutor {
         self.report.sim_instructions = self.port.instructions();
         self.report.parks = queue.parks(worker);
         if let Some(t) = telemetry {
-            t.publish(worker, self.heap.heap_snapshot(), &self.report, latencies);
+            t.publish(worker, self.heap().heap_snapshot(), &self.report, latencies);
         }
     }
 }
@@ -352,7 +283,6 @@ mod tests {
                 WorkOp::Free { id: 1 },
                 WorkOp::EndTx,
             ]);
-            assert!(s.objects.is_empty(), "{kind}");
             assert_eq!(s.report.max_live_after_tx, 0, "{kind}");
         }
     }
@@ -362,8 +292,8 @@ mod tests {
         // glibc-style: no freeAll — survivors must still be returned.
         let mut s = state(AllocatorKind::Dl);
         s.execute(&[WorkOp::Malloc { id: 1, size: 128 }, WorkOp::EndTx]);
-        assert!(s.objects.is_empty());
-        assert_eq!(s.heap.stats().frees, 1);
+        assert_eq!(s.report.max_live_after_tx, 0);
+        assert_eq!(s.heap().stats().frees, 1);
     }
 
     #[test]
@@ -382,7 +312,7 @@ mod tests {
             WorkOp::EndTx,
         ]);
         assert_eq!(s.report.orphan_ops, 3);
-        assert_eq!(s.heap.stats().frees, 0);
+        assert_eq!(s.heap().stats().frees, 0);
     }
 
     #[test]
@@ -407,8 +337,8 @@ mod tests {
     fn missing_trailing_endtx_still_cleans_up() {
         let mut s = state(AllocatorKind::Region);
         s.execute(&[WorkOp::Malloc { id: 5, size: 400 }]);
-        assert!(s.objects.is_empty());
-        assert_eq!(s.heap.stats().free_alls, 1);
+        assert_eq!(s.report.max_live_after_tx, 0);
+        assert_eq!(s.heap().stats().free_alls, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! JSONL stream parses back into samples carrying queue depth, window
 //! quantiles and per-worker size-class occupancy).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use webmm_alloc::AllocatorKind;
 use webmm_server::{
     drive_closed, AdmissionPolicy, ObsConfig, ObsSample, Server, ServerConfig, ServerReport,
@@ -136,8 +136,8 @@ fn closing_window_of_a_short_run_is_the_report_latency() {
 
 #[test]
 fn wall_time_excludes_the_samplers_last_sleep() {
-    // Stopping the sampler waits out its current sleep; a one-transaction
-    // run must not count that idle second as serving time.
+    // Stopping the sampler interrupts its wait; a one-transaction run must
+    // neither count the sampler's interval as serving time nor wait it out.
     let interval = Duration::from_secs(1);
     let server = Server::start(ServerConfig {
         workers: 1,
@@ -148,7 +148,13 @@ fn wall_time_excludes_the_samplers_last_sleep() {
         ..ServerConfig::default()
     });
     drive_closed(&server, TxFactory::new(phpbb(), 1024, SEED), 1, 1);
+    let finishing = Instant::now();
     let report = server.finish();
+    let finish_took = finishing.elapsed();
+    assert!(
+        finish_took < interval / 2,
+        "finish took {finish_took:?}: it waited out the sampler's interval"
+    );
     assert_eq!(report.completed, 1);
     assert!(
         u128::from(report.wall_ns) < interval.as_nanos() / 2,
