@@ -23,19 +23,17 @@
 //! status reconciles with a queue admission outcome, and
 //! `submitted == completed + shed` behind it). With `--rate` the client
 //! runs open-loop at that aggregate arrival rate; default is closed
-//! loop. All connections draw from one deterministic generator, so
-//! regenerating with the same `(spec, scale, seed)` is byte-identical to
-//! what crossed the wire: `native_shootout` with the same `--scale`,
-//! `--seed` and `--tx` replays it through the in-process harness for an
-//! apples-to-apples comparison.
+//! loop. All connections ship the transactions of one `TxFactory`, the
+//! generator the in-process harness submits from, so `native_shootout`
+//! with the same `--scale`, `--seed` and `--tx` drives exactly the
+//! transactions that crossed the wire through the in-process harness
+//! for an apples-to-apples comparison.
 
 use std::time::Instant;
 use webmm_alloc::AllocatorKind;
-use webmm_net::{
-    run_client, ClientWorkload, LoadMode, NetClientConfig, NetServer, NetServerConfig,
-};
+use webmm_net::{run_client, LoadMode, NetClientConfig, NetServer, NetServerConfig};
 use webmm_profiler::report::{heading, table};
-use webmm_server::{AdmissionPolicy, LatencySummary, Server, ServerConfig};
+use webmm_server::{AdmissionPolicy, LatencySummary, Server, ServerConfig, TxFactory};
 use webmm_workload::phpbb;
 
 /// One cell of the sweep, as serialized into `BENCH_net.json`.
@@ -196,11 +194,7 @@ fn main() {
         let started = Instant::now();
         let client = run_client(
             tier.local_addr(),
-            &ClientWorkload::Stream {
-                spec: phpbb(),
-                scale: args.scale,
-                seed: args.seed,
-            },
+            TxFactory::new(phpbb(), args.scale, args.seed),
             &NetClientConfig {
                 connections: args.conns,
                 requests: args.tx,

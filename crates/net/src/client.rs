@@ -3,8 +3,9 @@
 //! [`run_client`] drives a [`NetServer`](crate::NetServer) (or anything
 //! speaking the wire protocol) over `connections` persistent TCP
 //! connections, one thread per connection, sharing one global request
-//! sequence — the network analogue of the in-process drivers in
-//! `webmm_server::loadgen`:
+//! sequence and one [`TxFactory`] — the network analogue of the
+//! in-process drivers in `webmm_server::loadgen`, shipping the very
+//! transactions they would submit:
 //!
 //! * **closed loop** ([`LoadMode::Closed`]) — each connection submits
 //!   its next request only after the previous response arrived; offered
@@ -34,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use webmm_obs::{LatencyHistogram, LatencySummary, NetCounters};
-use webmm_workload::{TxStream, WorkOp, WorkloadSpec};
+use webmm_server::TxFactory;
 
 /// How arrivals are scheduled across the connection pool.
 #[derive(Clone, Copy, Debug)]
@@ -46,34 +47,6 @@ pub enum LoadMode {
     Open {
         /// Aggregate arrival rate across all connections.
         rate_tx_per_sec: f64,
-    },
-}
-
-/// What each submit request carries.
-#[derive(Clone, Debug)]
-pub enum ClientWorkload {
-    /// Compact `Count` bodies: the server synthesizes `ops` mallocs of
-    /// `size` bytes per transaction. Minimal wire traffic; exercises
-    /// the serving tier, not the workload model.
-    Count {
-        /// Mallocs per transaction.
-        ops: u32,
-        /// Bytes per malloc.
-        size: u32,
-    },
-    /// Inline op payloads drawn from the deterministic workload
-    /// generator — the paper's workload model shipped over the wire.
-    /// All connections share one stream, so the union of sent ops is
-    /// exactly the stream's first `requests` transactions: a
-    /// [`TxFactory`](webmm_server::TxFactory) built from the same
-    /// `(spec, scale, seed)` regenerates them for an in-process replay.
-    Stream {
-        /// Workload shape (e.g. `webmm_workload::phpbb()`).
-        spec: WorkloadSpec,
-        /// Size scale passed to [`TxStream::new`].
-        scale: u32,
-        /// Stream seed.
-        seed: u64,
     },
 }
 
@@ -121,8 +94,10 @@ impl Default for NetClientConfig {
     }
 }
 
-/// What one [`run_client`] run observed, JSON-serializable.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// What one [`run_client`] run observed, JSON-serializable. Each
+/// connection thread tallies into one of its own; the run's report is
+/// their sum, with `latency` taken from the merged histograms.
+#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct ClientReport {
     /// Traffic counters (client perspective: `conns_accepted` counts
     /// successful connects, `conns_dropped` connections abandoned on
@@ -170,25 +145,9 @@ pub fn backoff_delay(attempt: u32, base: Duration, max: Duration) -> Duration {
     }
 }
 
-/// Per-thread tallies, merged into the [`ClientReport`].
-#[derive(Default)]
-struct Tallies {
-    net: NetCounters,
-    sent: u64,
-    responses: u64,
-    accepted: u64,
-    shed_accepted: u64,
-    rejected: u64,
-    draining: u64,
-    too_large: u64,
-    timeouts: u64,
-    disconnects: u64,
-    reconnects: u64,
-    gave_up: u64,
-}
-
-impl Tallies {
-    fn merge(&mut self, o: &Tallies) {
+impl ClientReport {
+    /// Adds another thread's counters (`latency` is left alone).
+    fn merge(&mut self, o: &ClientReport) {
         self.net.merge(&o.net);
         self.sent += o.sent;
         self.responses += o.responses;
@@ -217,15 +176,21 @@ impl Tallies {
 /// State shared by all connection threads.
 struct SharedLoad {
     next_seq: AtomicU64,
-    /// One stream for everyone (`ClientWorkload::Stream`): the union of
-    /// sent ops is a prefix of the deterministic stream.
-    stream: Option<Mutex<TxStream>>,
+    /// One factory for everyone: each request that reaches a connection
+    /// draws the next transaction.
+    factory: Mutex<TxFactory>,
     start: Instant,
 }
 
-/// Drives `config.requests` requests at `addr` and reports what came
-/// back. Returns when every request was answered, timed out, or given
-/// up — it does not hang on a dead or silent server.
+/// Drives `config.requests` requests at `addr`, each carrying the next
+/// transaction of `factory`, and reports what came back. Returns when
+/// every request was answered, timed out, or given up — it does not
+/// hang on a dead or silent server.
+///
+/// All connections share `factory`, so on a run that sends every
+/// request (`sent == config.requests`) what crossed the wire is exactly
+/// its first `config.requests` transactions: a [`TxFactory`] built from
+/// the same `(spec, scale, seed)` replays them in-process.
 ///
 /// # Panics
 ///
@@ -234,11 +199,7 @@ struct SharedLoad {
 /// internal lock poisons. Both argument checks run before any
 /// connection is made.
 #[must_use]
-pub fn run_client(
-    addr: SocketAddr,
-    workload: &ClientWorkload,
-    config: &NetClientConfig,
-) -> ClientReport {
+pub fn run_client(addr: SocketAddr, factory: TxFactory, config: &NetClientConfig) -> ClientReport {
     assert!(
         config.connections > 0,
         "client needs at least one connection"
@@ -248,44 +209,26 @@ pub fn run_client(
     }
     let shared = SharedLoad {
         next_seq: AtomicU64::new(0),
-        stream: match workload {
-            ClientWorkload::Stream { spec, scale, seed } => {
-                Some(Mutex::new(TxStream::new(spec.clone(), *scale, *seed)))
-            }
-            ClientWorkload::Count { .. } => None,
-        },
+        factory: Mutex::new(factory),
         start: Instant::now(),
     };
-    let mut tallies = Tallies::default();
+    let mut report = ClientReport::default();
     let mut hist = LatencyHistogram::new();
     std::thread::scope(|scope| {
         let threads: Vec<_> = (0..config.connections)
             .map(|c| {
                 let shared = &shared;
-                scope.spawn(move || connection_thread(c as u64, addr, workload, config, shared))
+                scope.spawn(move || connection_thread(c as u64, addr, config, shared))
             })
             .collect();
         for t in threads {
             let (tt, th) = t.join().expect("client connection thread panicked");
-            tallies.merge(&tt);
+            report.merge(&tt);
             hist.merge(&th);
         }
     });
-    ClientReport {
-        net: tallies.net,
-        sent: tallies.sent,
-        responses: tallies.responses,
-        accepted: tallies.accepted,
-        shed_accepted: tallies.shed_accepted,
-        rejected: tallies.rejected,
-        draining: tallies.draining,
-        too_large: tallies.too_large,
-        timeouts: tallies.timeouts,
-        disconnects: tallies.disconnects,
-        reconnects: tallies.reconnects,
-        gave_up: tallies.gave_up,
-        latency: hist.summary(),
-    }
+    report.latency = hist.summary();
+    report
 }
 
 /// One persistent connection worked by one thread.
@@ -297,11 +240,10 @@ struct Conn {
 fn connection_thread(
     conn_id: u64,
     addr: SocketAddr,
-    workload: &ClientWorkload,
     config: &NetClientConfig,
     shared: &SharedLoad,
-) -> (Tallies, LatencyHistogram) {
-    let mut t = Tallies::default();
+) -> (ClientReport, LatencyHistogram) {
+    let mut t = ClientReport::default();
     let mut hist = LatencyHistogram::new();
     let decoder = Decoder::new().with_max_frame(config.max_frame);
     let mut conn: Option<Conn> = None;
@@ -331,12 +273,13 @@ fn connection_thread(
             }
         }
         let c = conn.as_mut().expect("connection just established");
+        let tx = shared.factory.lock().expect("factory lock").next_tx();
         wbuf.clear();
         encode(
             &Frame::Submit {
                 request_id: seq,
                 affinity: config.affinity.then_some(conn_id),
-                body: make_body(workload, shared),
+                body: TxBody::Ops(tx.ops),
             },
             &mut wbuf,
         );
@@ -377,36 +320,9 @@ fn connection_thread(
     (t, hist)
 }
 
-/// Builds the next request body.
-fn make_body(workload: &ClientWorkload, shared: &SharedLoad) -> TxBody {
-    match workload {
-        ClientWorkload::Count { ops, size } => TxBody::Count {
-            ops: *ops,
-            size: *size,
-        },
-        ClientWorkload::Stream { .. } => {
-            let mut stream = shared
-                .stream
-                .as_ref()
-                .expect("stream workload has a stream")
-                .lock()
-                .expect("stream lock");
-            let mut ops = Vec::new();
-            loop {
-                let op = stream.next_op();
-                ops.push(op);
-                if op == WorkOp::EndTx {
-                    break;
-                }
-            }
-            TxBody::Ops(ops)
-        }
-    }
-}
-
 /// Connects with exponential backoff; `None` after `max_attempts`
 /// consecutive failures.
-fn reconnect(addr: SocketAddr, config: &NetClientConfig, t: &mut Tallies) -> Option<Conn> {
+fn reconnect(addr: SocketAddr, config: &NetClientConfig, t: &mut ClientReport) -> Option<Conn> {
     for attempt in 0..config.max_attempts {
         if attempt > 0 {
             std::thread::sleep(backoff_delay(
@@ -442,7 +358,7 @@ fn await_status(
     seq: u64,
     sent_at: Instant,
     timeout: Duration,
-    t: &mut Tallies,
+    t: &mut ClientReport,
 ) -> Option<Status> {
     let mut chunk = [0u8; 1024];
     loop {
@@ -528,7 +444,7 @@ mod tests {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let _ = run_client(
             addr,
-            &ClientWorkload::Count { ops: 1, size: 8 },
+            TxFactory::new(webmm_workload::phpbb(), 1024, 1),
             &NetClientConfig {
                 mode: LoadMode::Open {
                     rate_tx_per_sec: 0.0,

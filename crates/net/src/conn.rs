@@ -42,15 +42,14 @@ use std::sync::Arc;
 use std::time::Duration;
 use webmm_obs::{bump, FrontEndBlock};
 use webmm_server::{Ingress, Transaction, TxBufferPool};
-use webmm_workload::WorkOp;
 
 /// State shared by every connection handler of one [`NetServer`]
 /// (`crate::NetServer`).
 pub(crate) struct ConnShared {
     /// Submission handle into the inner server.
     pub ingress: Ingress,
-    /// The inner server's op-buffer pool (decoded and expanded
-    /// transactions draw from it; refused ones return to it).
+    /// The inner server's op-buffer pool (decoded transactions draw
+    /// from it; refused ones return to it).
     pub pool: Arc<TxBufferPool>,
     /// Frame decoder with the configured limits, pool attached.
     pub decoder: Decoder,
@@ -265,29 +264,17 @@ fn handle_frame(
 /// an admission outcome, enforcing the size cap and the drain state
 /// before the ingress queue sees anything.
 fn submit(ctx: &ConnShared, affinity: Option<u64>, body: TxBody, requested: u64) -> Status {
+    let TxBody::Ops(ops) = body;
+    // Front-door refusals recycle the op buffer exactly like completions
+    // and sheds do.
     if requested > ctx.max_tx_bytes {
-        recycle(ctx, body);
+        ctx.pool.put(ops);
         return Status::TooLarge;
     }
     if ctx.draining.load(Ordering::Acquire) || ctx.ingress.is_closed() {
-        recycle(ctx, body);
+        ctx.pool.put(ops);
         return Status::Draining;
     }
-    let ops = match body {
-        TxBody::Count { ops: n, size } => {
-            let mut v = ctx.pool.get();
-            v.reserve(n as usize + 1);
-            for i in 0..n {
-                v.push(WorkOp::Malloc {
-                    id: u64::from(i),
-                    size: u64::from(size),
-                });
-            }
-            v.push(WorkOp::EndTx);
-            v
-        }
-        TxBody::Ops(v) => v,
-    };
     let tx = Transaction {
         id: ctx.next_tx_id.fetch_add(1, Ordering::Relaxed),
         ops,
@@ -299,20 +286,13 @@ fn submit(ctx: &ConnShared, affinity: Option<u64>, body: TxBody, requested: u64)
     Status::from_admission(admission)
 }
 
-/// Returns a refused body's op buffer to the pool (front-door refusals
-/// recycle exactly like completions and sheds do).
-fn recycle(ctx: &ConnShared, body: TxBody) {
-    if let TxBody::Ops(ops) = body {
-        ctx.pool.put(ops);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::DEFAULT_MAX_FRAME;
     use std::net::{Shutdown, TcpListener};
     use webmm_server::{Server, ServerConfig};
+    use webmm_workload::WorkOp;
 
     /// Serves one loopback connection whose peer writes `bytes` and then
     /// waits for the handler to close; returns the handler's buffers and

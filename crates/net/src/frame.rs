@@ -4,11 +4,9 @@
 //! followed by exactly that many body bytes; the first body byte is a
 //! type tag. Requests carry a client-assigned `request_id` that the
 //! server echoes in the response, so a client can detect desync after a
-//! timeout or reconnect. Transaction payloads travel either as an
-//! explicit [`WorkOp`] sequence (one tag byte plus 0, 1 or 2 LE `u64`
-//! fields per op, so a record is 1, 9, 10 or 17 bytes) or as a compact
-//! `Count` body the server expands itself — the cheap way to generate
-//! pure admission-control load without shipping op streams.
+//! timeout or reconnect. A transaction travels as its explicit
+//! [`WorkOp`] sequence: one tag byte plus 0, 1 or 2 LE `u64` fields per
+//! op, so a record is 1, 9, 10 or 17 bytes.
 //!
 //! Decoding is **incremental and total**: [`Decoder::decode`] looks at
 //! the front of a byte buffer and returns `Ok(None)` ("need more
@@ -18,7 +16,8 @@
 //! it), which is how truncation inside a frame is told apart from a
 //! partial read. Op counts are validated against the body length before
 //! any buffer is sized, so a hostile length field cannot force an
-//! allocation.
+//! allocation, and a `Malloc` or `Realloc` of zero bytes — a request no
+//! worker heap can serve — is refused as [`FrameError::ZeroSize`].
 //!
 //! The op list is the bulk of every `Submit` (a phpBB transaction is
 //! about 1,350 ops) and both ends of a tcp round trip walk it, so it is
@@ -54,6 +53,9 @@ const TAG_PING: u8 = 0x02;
 const TAG_GOODBYE: u8 = 0x03;
 const TAG_STATUS: u8 = 0x81;
 const TAG_PONG: u8 = 0x82;
+
+/// Body kind of a `Submit`: an inline op list, the one kind there is.
+const BODY_OPS: u8 = 0x01;
 
 // WorkOp tags.
 const OP_MALLOC: u8 = 0;
@@ -126,15 +128,6 @@ impl Status {
 /// The transaction payload of a [`Frame::Submit`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TxBody {
-    /// `ops` allocations of `size` bytes each, expanded server-side
-    /// (each allocation is touched, and the transaction ends with the
-    /// usual `EndTx` bulk free).
-    Count {
-        /// Number of allocations.
-        ops: u32,
-        /// Bytes per allocation.
-        size: u32,
-    },
     /// An explicit op sequence, executed verbatim.
     Ops(Vec<WorkOp>),
 }
@@ -146,17 +139,14 @@ impl TxBody {
     /// so sizes chosen to wrap the sum cannot slip under the limit.
     #[must_use]
     pub fn requested_bytes(&self) -> u64 {
-        match self {
-            TxBody::Count { ops, size } => u64::from(*ops) * u64::from(*size),
-            TxBody::Ops(ops) => ops
-                .iter()
-                .map(|op| match *op {
-                    WorkOp::Malloc { size, .. } => size,
-                    WorkOp::Realloc { new_size, .. } => new_size,
-                    _ => 0,
-                })
-                .fold(0, u64::saturating_add),
-        }
+        let TxBody::Ops(ops) = self;
+        ops.iter()
+            .map(|op| match *op {
+                WorkOp::Malloc { size, .. } => size,
+                WorkOp::Realloc { new_size, .. } => new_size,
+                _ => 0,
+            })
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -233,6 +223,9 @@ pub enum FrameError {
         /// Leftover byte count.
         extra: usize,
     },
+    /// A `Malloc` or `Realloc` inside a `Submit` body asks for zero
+    /// bytes, which no worker heap serves.
+    ZeroSize,
 }
 
 impl fmt::Display for FrameError {
@@ -255,6 +248,7 @@ impl fmt::Display for FrameError {
             FrameError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after frame body")
             }
+            FrameError::ZeroSize => write!(f, "allocation of zero bytes"),
         }
     }
 }
@@ -280,18 +274,10 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
                 }
                 None => out.push(0),
             }
-            match body {
-                TxBody::Count { ops, size } => {
-                    out.push(0);
-                    out.extend_from_slice(&ops.to_le_bytes());
-                    out.extend_from_slice(&size.to_le_bytes());
-                }
-                TxBody::Ops(ops) => {
-                    out.push(1);
-                    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                    encode_ops(ops, out);
-                }
-            }
+            let TxBody::Ops(ops) = body;
+            out.push(BODY_OPS);
+            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            encode_ops(ops, out);
         }
         Frame::Ping => out.push(TAG_PING),
         Frame::Goodbye => out.push(TAG_GOODBYE),
@@ -361,7 +347,9 @@ fn encode_ops(ops: &[WorkOp], out: &mut Vec<u8>) {
 /// returns the bytes they took with the heap bytes the ops request (the
 /// [`TxBody::requested_bytes`] sum, taken in the same pass). Per op: one
 /// [`OP_LEN`] lookup on the tag, one length check, two fixed-offset
-/// `u64` loads, a masked saturating add and a push.
+/// `u64` loads, a masked saturating add and a push. A zero-byte
+/// `Malloc` or `Realloc` sets a flag in its own match arm and is
+/// [`FrameError::ZeroSize`] once the whole list has decoded.
 fn decode_ops(
     body: &[u8],
     count: usize,
@@ -369,6 +357,7 @@ fn decode_ops(
 ) -> Result<(usize, u64), FrameError> {
     let mut rest = body;
     let mut requested = 0u64;
+    let mut zero_size = false;
     for _ in 0..count {
         let Some(&tag) = rest.first() else {
             return Err(FrameError::Corrupt { need: 1, have: 0 });
@@ -411,9 +400,15 @@ fn decode_ops(
         let sized = u64::from(tag == OP_MALLOC) | u64::from(tag == OP_REALLOC);
         requested = requested.saturating_add(b & sized.wrapping_neg());
         ops.push(match tag {
-            OP_MALLOC => WorkOp::Malloc { id: a, size: b },
+            OP_MALLOC => {
+                zero_size |= b == 0;
+                WorkOp::Malloc { id: a, size: b }
+            }
             OP_FREE => WorkOp::Free { id: a },
-            OP_REALLOC => WorkOp::Realloc { id: a, new_size: b },
+            OP_REALLOC => {
+                zero_size |= b == 0;
+                WorkOp::Realloc { id: a, new_size: b }
+            }
             OP_TOUCH => WorkOp::Touch {
                 id: a,
                 write: w[9] == 1,
@@ -424,6 +419,9 @@ fn decode_ops(
             _ => WorkOp::EndTx,
         });
         rest = &rest[len..];
+    }
+    if zero_size {
+        return Err(FrameError::ZeroSize);
     }
     Ok((body.len() - rest.len(), requested))
 }
@@ -580,41 +578,32 @@ impl Decoder {
                 } else {
                     None
                 };
-                let (tx_body, requested) = match body.u8()? {
-                    0 => {
-                        let (ops, size) = (body.u32()?, body.u32()?);
-                        (
-                            TxBody::Count { ops, size },
-                            u64::from(ops) * u64::from(size),
-                        )
-                    }
-                    1 => {
-                        let count = body.u32()? as usize;
-                        // Every op costs at least one tag byte, so a count
-                        // beyond the remaining body is a lie — reject it
-                        // before sizing any buffer from it.
-                        let max = self.max_ops.unwrap_or(DEFAULT_MAX_OPS);
-                        if count > body.remaining() || count > max {
-                            return Err(FrameError::TooManyOps {
-                                ops: count,
-                                max: max.min(body.remaining()),
-                            });
-                        }
-                        let mut ops = match &self.pool {
-                            Some(pool) => pool.get(),
-                            None => Vec::new(),
-                        };
-                        ops.reserve(count);
-                        let (used, requested) = decode_ops(&body.buf[body.at..], count, &mut ops)?;
-                        body.at += used;
-                        (TxBody::Ops(ops), requested)
-                    }
-                    t => return Err(FrameError::BadTag(t)),
+                let kind = body.u8()?;
+                if kind != BODY_OPS {
+                    return Err(FrameError::BadTag(kind));
+                }
+                let count = body.u32()? as usize;
+                // Every op costs at least one tag byte, so a count beyond
+                // the remaining body is a lie — reject it before sizing
+                // any buffer from it.
+                let max = self.max_ops.unwrap_or(DEFAULT_MAX_OPS);
+                if count > body.remaining() || count > max {
+                    return Err(FrameError::TooManyOps {
+                        ops: count,
+                        max: max.min(body.remaining()),
+                    });
+                }
+                let mut ops = match &self.pool {
+                    Some(pool) => pool.get(),
+                    None => Vec::new(),
                 };
+                ops.reserve(count);
+                let (used, requested) = decode_ops(&body.buf[body.at..], count, &mut ops)?;
+                body.at += used;
                 let frame = Frame::Submit {
                     request_id,
                     affinity,
-                    body: tx_body,
+                    body: TxBody::Ops(ops),
                 };
                 Ok((frame, requested))
             }
@@ -653,11 +642,6 @@ mod tests {
         round_trip(&Frame::Status {
             request_id: u64::MAX,
             status: Status::Draining,
-        });
-        round_trip(&Frame::Submit {
-            request_id: 7,
-            affinity: None,
-            body: TxBody::Count { ops: 12, size: 64 },
         });
         round_trip(&Frame::Submit {
             request_id: 8,
@@ -741,6 +725,45 @@ mod tests {
         let mut buf = 1u32.to_le_bytes().to_vec();
         buf.push(0x77);
         assert_eq!(Decoder::new().decode(&buf), Err(FrameError::BadTag(0x77)));
+        // A `Submit` body kind other than inline ops (kind 0 was a retired
+        // server-expanded `{ ops: u32, size: u32 }` body).
+        let mut body = vec![TAG_SUBMIT];
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&[0, 0]); // no affinity, body kind 0
+        body.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        let mut buf = (body.len() as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&body);
+        assert_eq!(buf.len(), 23);
+        assert_eq!(Decoder::new().decode(&buf), Err(FrameError::BadTag(0)));
+    }
+
+    #[test]
+    fn zero_byte_mallocs_and_reallocs_are_refused() {
+        let zero_malloc = WorkOp::Malloc { id: 0, size: 0 };
+        let zero_realloc = WorkOp::Realloc { id: 3, new_size: 0 };
+        for ops in [
+            vec![zero_malloc, WorkOp::EndTx],
+            vec![MALLOC, zero_realloc, WorkOp::EndTx],
+            vec![MALLOC, WorkOp::Free { id: 3 }, zero_malloc],
+        ] {
+            assert_eq!(
+                Decoder::new().decode(&submit_wire(&ops)),
+                Err(FrameError::ZeroSize),
+                "{ops:?}"
+            );
+        }
+        // A zero in any other op's second field is not a size.
+        let ok = submit_wire(&[
+            WorkOp::Touch {
+                id: 0,
+                write: false,
+            },
+            WorkOp::StaticTouch { offset: 0, len: 0 },
+            WorkOp::Compute { instr: 0 },
+            WorkOp::EndTx,
+        ]);
+        assert!(Decoder::new().decode(&ok).unwrap().is_some());
     }
 
     #[test]
@@ -766,7 +789,6 @@ mod tests {
             WorkOp::EndTx,
         ]);
         assert_eq!(body.requested_bytes(), 150);
-        assert_eq!(TxBody::Count { ops: 4, size: 32 }.requested_bytes(), 128);
     }
 
     #[test]
@@ -785,10 +807,10 @@ mod tests {
         assert_eq!(body.requested_bytes(), u64::MAX);
     }
 
-    /// A size that is small, arbitrary, or half of 2^64 (two of which
-    /// saturate the sum).
+    /// A nonzero size that is small, arbitrary, or half of 2^64 (two of
+    /// which saturate the sum).
     fn size() -> impl Strategy<Value = u64> {
-        prop_oneof![0u64..4096, any::<u64>(), Just(1u64 << 63)]
+        prop_oneof![1u64..4096, 1..=u64::MAX, Just(1u64 << 63)]
     }
 
     fn any_op() -> impl Strategy<Value = WorkOp> {
@@ -804,10 +826,7 @@ mod tests {
     }
 
     fn any_submit_wire() -> impl Strategy<Value = Vec<u8>> {
-        let body = prop_oneof![
-            1 => (any::<u32>(), any::<u32>()).prop_map(|(ops, size)| TxBody::Count { ops, size }),
-            3 => proptest::collection::vec(any_op(), 0..24).prop_map(TxBody::Ops),
-        ];
+        let body = proptest::collection::vec(any_op(), 0..24).prop_map(TxBody::Ops);
         (any::<u64>(), any::<bool>(), any::<u64>(), body).prop_map(
             |(request_id, has_affinity, key, body)| {
                 let mut wire = Vec::new();

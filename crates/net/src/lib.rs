@@ -8,16 +8,18 @@
 //! queue:
 //!
 //! * [`frame`] — a compact length-prefixed binary wire protocol:
-//!   submit/ping/goodbye requests, typed status responses mapping the
-//!   queue's [`Admission`](webmm_server::Admission) outcomes (the
-//!   429-equivalent back-pressure signal), and an incremental decoder
-//!   that treats every malformed input as a typed error, never a panic.
+//!   submit requests carrying a transaction's ops, ping/goodbye, typed
+//!   status responses mapping the queue's
+//!   [`Admission`](webmm_server::Admission) outcomes (the 429-equivalent
+//!   back-pressure signal), and an incremental decoder that treats every
+//!   malformed input as a typed error, never a panic.
 //! * [`listener`] ([`NetServer`]) — acceptor + fixed handler pool with
 //!   keep-alive, idle timeouts, per-connection buffer reuse, and a
 //!   graceful drain that preserves `submitted == completed + shed`
 //!   end-to-end ([`NetReport::reconciles`]).
 //! * [`client`] ([`run_client`]) — a load generator speaking the same
-//!   protocol: N persistent connections, closed- and open-loop
+//!   protocol: N persistent connections shipping the transactions of one
+//!   [`TxFactory`](webmm_server::TxFactory), closed- and open-loop
 //!   schedules, request timeouts, bounded-backoff reconnect, and
 //!   client-side log2 latency histograms.
 //!
@@ -29,8 +31,9 @@
 //! # Quick start
 //!
 //! ```
-//! use webmm_net::{run_client, ClientWorkload, NetClientConfig, NetServer, NetServerConfig};
-//! use webmm_server::{Server, ServerConfig};
+//! use webmm_net::{run_client, NetClientConfig, NetServer, NetServerConfig};
+//! use webmm_server::{Server, ServerConfig, TxFactory};
+//! use webmm_workload::phpbb;
 //!
 //! let server = Server::start(ServerConfig {
 //!     workers: 2,
@@ -40,7 +43,7 @@
 //! let net = NetServer::bind(server, "127.0.0.1:0", NetServerConfig::default())?;
 //! let report = run_client(
 //!     net.local_addr(),
-//!     &ClientWorkload::Count { ops: 32, size: 256 },
+//!     TxFactory::new(phpbb(), 1024, 42),
 //!     &NetClientConfig {
 //!         connections: 2,
 //!         requests: 50,
@@ -68,8 +71,6 @@ mod conn;
 pub mod frame;
 pub mod listener;
 
-pub use client::{
-    backoff_delay, run_client, ClientReport, ClientWorkload, LoadMode, NetClientConfig,
-};
+pub use client::{backoff_delay, run_client, ClientReport, LoadMode, NetClientConfig};
 pub use frame::{encode, Decoder, Frame, FrameError, Status, TxBody};
 pub use listener::{NetReport, NetServer, NetServerConfig};

@@ -14,7 +14,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use webmm_net::{run_client, ClientWorkload, NetClientConfig};
+use webmm_net::{run_client, NetClientConfig};
+use webmm_server::TxFactory;
+use webmm_workload::phpbb;
 
 fn quick_config(requests: u64) -> NetClientConfig {
     NetClientConfig {
@@ -28,7 +30,11 @@ fn quick_config(requests: u64) -> NetClientConfig {
     }
 }
 
-const WORKLOAD: ClientWorkload = ClientWorkload::Count { ops: 4, size: 64 };
+/// Small phpBB transactions: what the client ships does not matter to
+/// a server that never answers.
+fn workload() -> TxFactory {
+    TxFactory::new(phpbb(), 2048, 7)
+}
 
 /// A server that accepts and then never says anything. The client must
 /// time each request out, not hang.
@@ -54,7 +60,7 @@ fn accept_then_silence_times_out_each_request() {
     };
 
     let started = Instant::now();
-    let report = run_client(addr, &WORKLOAD, &quick_config(3));
+    let report = run_client(addr, workload(), &quick_config(3));
     stop.store(true, Ordering::Release);
     server.join().expect("silent server thread");
 
@@ -85,7 +91,7 @@ fn mid_request_disconnect_is_counted_not_retried() {
         }
     });
 
-    let report = run_client(addr, &WORKLOAD, &quick_config(2));
+    let report = run_client(addr, workload(), &quick_config(2));
     server.join().expect("slamming server thread");
 
     assert_eq!(report.sent, 2);
@@ -108,7 +114,7 @@ fn unreachable_server_exhausts_backoff_and_gives_up() {
     };
 
     let started = Instant::now();
-    let report = run_client(addr, &WORKLOAD, &quick_config(4));
+    let report = run_client(addr, workload(), &quick_config(4));
 
     assert_eq!(report.sent, 0);
     assert_eq!(report.gave_up, 1, "the thread gives up once, then retires");

@@ -47,19 +47,11 @@ mod reference {
                     }
                     None => out.push(0),
                 }
-                match body {
-                    TxBody::Count { ops, size } => {
-                        out.push(0);
-                        out.extend_from_slice(&ops.to_le_bytes());
-                        out.extend_from_slice(&size.to_le_bytes());
-                    }
-                    TxBody::Ops(ops) => {
-                        out.push(1);
-                        out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                        for op in ops {
-                            encode_op(*op, out);
-                        }
-                    }
+                let TxBody::Ops(ops) = body;
+                out.push(1);
+                out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+                for op in ops {
+                    encode_op(*op, out);
                 }
             }
             Frame::Ping => out.push(0x02),
@@ -188,31 +180,36 @@ mod reference {
                 } else {
                     None
                 };
-                let tx_body = match body.u8()? {
-                    0 => TxBody::Count {
-                        ops: body.u32()?,
-                        size: body.u32()?,
-                    },
-                    1 => {
-                        let count = body.u32()? as usize;
-                        if count > body.remaining() || count > max_ops {
-                            return Err(FrameError::TooManyOps {
-                                ops: count,
-                                max: max_ops.min(body.remaining()),
-                            });
-                        }
-                        let mut ops = Vec::with_capacity(count);
-                        for _ in 0..count {
-                            ops.push(decode_op(body)?);
-                        }
-                        TxBody::Ops(ops)
-                    }
-                    t => return Err(FrameError::BadTag(t)),
-                };
+                let kind = body.u8()?;
+                if kind != 1 {
+                    return Err(FrameError::BadTag(kind));
+                }
+                let count = body.u32()? as usize;
+                if count > body.remaining() || count > max_ops {
+                    return Err(FrameError::TooManyOps {
+                        ops: count,
+                        max: max_ops.min(body.remaining()),
+                    });
+                }
+                let mut ops = Vec::with_capacity(count);
+                for _ in 0..count {
+                    ops.push(decode_op(body)?);
+                }
+                // A zero-byte allocation is refused once the whole op
+                // list has decoded.
+                let zero_size = ops.iter().any(|op| {
+                    matches!(
+                        op,
+                        WorkOp::Malloc { size: 0, .. } | WorkOp::Realloc { new_size: 0, .. }
+                    )
+                });
+                if zero_size {
+                    return Err(FrameError::ZeroSize);
+                }
                 Ok(Frame::Submit {
                     request_id,
                     affinity,
-                    body: tx_body,
+                    body: TxBody::Ops(ops),
                 })
             }
             0x02 => Ok(Frame::Ping),
@@ -269,11 +266,12 @@ fn agree(buf: &[u8], max_ops: usize) {
     prop_assert!(same, "codec {:?} vs reference {:?}", got, want);
 }
 
+/// Any op a valid frame may carry: allocation sizes are nonzero.
 fn work_op() -> impl Strategy<Value = WorkOp> {
     prop_oneof![
-        (any::<u64>(), 0u64..(1 << 32)).prop_map(|(id, size)| WorkOp::Malloc { id, size }),
+        (any::<u64>(), 1u64..(1 << 32)).prop_map(|(id, size)| WorkOp::Malloc { id, size }),
         any::<u64>().prop_map(|id| WorkOp::Free { id }),
-        (any::<u64>(), 0u64..(1 << 32)).prop_map(|(id, new_size)| WorkOp::Realloc { id, new_size }),
+        (any::<u64>(), 1u64..(1 << 32)).prop_map(|(id, new_size)| WorkOp::Realloc { id, new_size }),
         (any::<u64>(), any::<bool>()).prop_map(|(id, write)| WorkOp::Touch { id, write }),
         any::<u64>().prop_map(|instr| WorkOp::Compute { instr }),
         (any::<u64>(), any::<u64>()).prop_map(|(offset, len)| WorkOp::StaticTouch { offset, len }),
@@ -282,10 +280,7 @@ fn work_op() -> impl Strategy<Value = WorkOp> {
 }
 
 fn tx_body() -> impl Strategy<Value = TxBody> {
-    prop_oneof![
-        (any::<u32>(), any::<u32>()).prop_map(|(ops, size)| TxBody::Count { ops, size }),
-        collection::vec(work_op(), 0..40).prop_map(TxBody::Ops),
-    ]
+    collection::vec(work_op(), 0..40).prop_map(TxBody::Ops)
 }
 
 fn submit() -> impl Strategy<Value = Frame> {
@@ -484,6 +479,35 @@ proptest! {
         body.extend_from_slice(&bytes);
         let mut wire = (body.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&body);
+        agree(&wire, DEFAULT_MAX_OPS);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A zero-byte `Malloc` or `Realloc` anywhere in an otherwise valid
+    /// op list is `ZeroSize`, in the codec as in the reference.
+    #[test]
+    fn zero_byte_allocations_are_refused_like_the_reference(
+        ops in collection::vec(work_op(), 0..40),
+        at_seed in any::<u64>(),
+        id in any::<u64>(),
+        realloc in any::<bool>(),
+    ) {
+        let mut ops = ops;
+        let zero = if realloc {
+            WorkOp::Realloc { id, new_size: 0 }
+        } else {
+            WorkOp::Malloc { id, size: 0 }
+        };
+        ops.insert((at_seed as usize) % (ops.len() + 1), zero);
+        let mut wire = Vec::new();
+        encode(
+            &Frame::Submit { request_id: 1, affinity: None, body: TxBody::Ops(ops) },
+            &mut wire,
+        );
+        prop_assert_eq!(Decoder::new().decode(&wire), Err(FrameError::ZeroSize));
         agree(&wire, DEFAULT_MAX_OPS);
     }
 }

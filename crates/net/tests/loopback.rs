@@ -18,11 +18,16 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 use webmm_net::{
-    encode, run_client, ClientWorkload, Decoder, Frame, LoadMode, NetClientConfig, NetReport,
-    NetServer, NetServerConfig, Status, TxBody,
+    encode, run_client, Decoder, Frame, LoadMode, NetClientConfig, NetReport, NetServer,
+    NetServerConfig, Status, TxBody,
 };
-use webmm_server::{AdmissionPolicy, ObsConfig, ObsSample, Server, ServerConfig};
+use webmm_server::{AdmissionPolicy, ObsConfig, ObsSample, Server, ServerConfig, TxFactory};
 use webmm_workload::{phpbb, WorkOp};
+
+/// phpBB transactions, scaled down so each is a few KB on the wire.
+fn phpbb_factory(seed: u64) -> TxFactory {
+    TxFactory::new(phpbb(), 1024, seed)
+}
 
 fn start_tier(policy: AdmissionPolicy, capacity: usize) -> NetServer {
     let server = Server::start(ServerConfig {
@@ -80,7 +85,7 @@ fn closed_loop_reconciles_under_block_policy() {
     let requests = 60;
     let client = run_client(
         tier.local_addr(),
-        &ClientWorkload::Count { ops: 16, size: 128 },
+        phpbb_factory(3),
         &NetClientConfig {
             connections: 2,
             requests,
@@ -96,16 +101,12 @@ fn closed_loop_reconciles_under_block_policy() {
 }
 
 #[test]
-fn stream_workload_reconciles_and_executes_real_ops() {
+fn affine_phpbb_stream_reconciles_and_balances_bytes() {
     let tier = start_tier(AdmissionPolicy::Block, 16);
     let requests = 24;
     let client = run_client(
         tier.local_addr(),
-        &ClientWorkload::Stream {
-            spec: phpbb(),
-            scale: 1024,
-            seed: 11,
-        },
+        phpbb_factory(11),
         &NetClientConfig {
             connections: 2,
             requests,
@@ -135,10 +136,7 @@ fn open_loop_overload_reconciles_under_reject_and_shed() {
         let requests = 200;
         let client = run_client(
             tier.local_addr(),
-            &ClientWorkload::Count {
-                ops: 64,
-                size: 4096,
-            },
+            phpbb_factory(5),
             &NetClientConfig {
                 connections: 2,
                 requests,
@@ -158,8 +156,78 @@ fn open_loop_overload_reconciles_under_reject_and_shed() {
     }
 }
 
+/// `run_client` sends a request only after the reply to the previous
+/// one, and drawing a phpBB transaction costs it more than executing
+/// one costs a worker, so its open loop above does not fill the queue.
+/// A burst written back to back does: the handler admits at decode
+/// speed, faster than two workers drain a 4-slot queue.
+#[test]
+fn a_pipelined_burst_overloads_and_reconciles_under_reject_and_shed() {
+    let requests = 200;
+    let mut factory = phpbb_factory(5);
+    let mut wire = Vec::new();
+    for request_id in 0..requests {
+        encode(
+            &Frame::Submit {
+                request_id,
+                affinity: None,
+                body: TxBody::Ops(factory.next_tx().ops),
+            },
+            &mut wire,
+        );
+    }
+    for policy in [AdmissionPolicy::Reject, AdmissionPolicy::ShedOldest] {
+        let tier = start_tier(policy, 4);
+        let mut stream = raw_conn(&tier);
+        stream.write_all(&wire).expect("send the burst");
+        // The client's books, kept from the replies as `run_client` would.
+        let mut client = webmm_net::ClientReport {
+            sent: requests,
+            ..Default::default()
+        };
+        let mut rbuf = Vec::new();
+        for request_id in 0..requests {
+            let Frame::Status {
+                request_id: id,
+                status,
+            } = next_frame(&mut stream, &mut rbuf)
+            else {
+                panic!("a Submit is answered with a Status");
+            };
+            assert_eq!(id, request_id, "replies come in request order");
+            client.responses += 1;
+            match status {
+                Status::Accepted => client.accepted += 1,
+                Status::AcceptedSheddingOldest => client.shed_accepted += 1,
+                Status::Rejected => client.rejected += 1,
+                Status::Draining | Status::TooLarge => panic!("unexpected {status:?}"),
+            }
+        }
+        say_goodbye(&mut stream);
+        let report = tier.finish();
+        assert_clean_run(&client, &report, requests);
+        assert!(
+            report.server.shed > 0,
+            "the burst must overload: {report:?}"
+        );
+        match policy {
+            AdmissionPolicy::Reject => assert_eq!(client.shed_accepted, 0),
+            AdmissionPolicy::ShedOldest => assert_eq!(client.rejected, 0),
+            AdmissionPolicy::Block => unreachable!(),
+        }
+    }
+}
+
 #[test]
 fn oversized_transactions_are_refused_not_executed() {
+    let requests = 5;
+    // The cap sits one byte below the smallest of the transactions the
+    // client will send, so every one of them is over it.
+    let mut twin = phpbb_factory(13);
+    let smallest = (0..requests)
+        .map(|_| TxBody::Ops(twin.next_tx().ops).requested_bytes())
+        .min()
+        .expect("at least one transaction");
     let server = Server::start(ServerConfig {
         workers: 1,
         static_bytes: 1 << 16,
@@ -170,28 +238,23 @@ fn oversized_transactions_are_refused_not_executed() {
         "127.0.0.1:0",
         NetServerConfig {
             handlers: 1,
-            max_tx_bytes: 1 << 20,
+            max_tx_bytes: smallest - 1,
             ..NetServerConfig::default()
         },
     )
     .expect("bind loopback");
-    // Each transaction asks for 256 MiB — far over the 1 MiB cap; a
-    // worker heap would abort on this, so the front door must refuse it.
     let client = run_client(
         tier.local_addr(),
-        &ClientWorkload::Count {
-            ops: 64,
-            size: 4 << 20,
-        },
+        phpbb_factory(13),
         &NetClientConfig {
             connections: 1,
-            requests: 5,
+            requests,
             ..NetClientConfig::default()
         },
     );
     let report = tier.finish();
-    assert_eq!(client.too_large, 5);
-    assert_eq!(report.oversized, 5);
+    assert_eq!(client.too_large, requests);
+    assert_eq!(report.oversized, requests);
     assert_eq!(report.server.submitted, 0, "nothing may reach the queue");
     assert!(report.reconciles());
 }
@@ -241,6 +304,57 @@ fn sizes_that_wrap_the_byte_sum_are_refused_not_executed() {
     assert_eq!(report.oversized, 1);
     assert_eq!(report.server.submitted, 0, "nothing may reach the queue");
     assert!(report.reconciles(), "tier must reconcile: {report:?}");
+}
+
+/// Sends `wire` on a fresh connection, expects the tier to drop it
+/// unanswered, drains the tier and checks that the frame was counted as
+/// one protocol error and nothing reached the queue.
+fn assert_dropped_unanswered(wire: &[u8]) {
+    let tier = start_one_worker_tier();
+    let mut stream = raw_conn(&tier);
+    stream.write_all(wire).expect("send the frame");
+    let mut byte = [0u8; 1];
+    assert_eq!(stream.read(&mut byte).ok(), Some(0), "dropped unanswered");
+    let report = tier.finish();
+    assert_eq!(report.net.protocol_errors, 1);
+    assert_eq!(report.net.conns_dropped, 1);
+    assert_eq!(report.requests, 0);
+    assert_eq!(report.server.submitted, 0, "nothing may reach the queue");
+    assert!(report.reconciles(), "tier must reconcile: {report:?}");
+}
+
+#[test]
+fn a_zero_byte_malloc_is_refused_at_decode() {
+    // No worker heap serves a zero-byte request: admitted, this frame
+    // would panic the worker that ran it.
+    let mut wire = Vec::new();
+    encode(
+        &Frame::Submit {
+            request_id: 1,
+            affinity: None,
+            body: TxBody::Ops(vec![WorkOp::Malloc { id: 0, size: 0 }, WorkOp::EndTx]),
+        },
+        &mut wire,
+    );
+    assert_eq!(wire.len(), 37);
+    assert_dropped_unanswered(&wire);
+}
+
+#[test]
+fn the_retired_count_body_is_refused() {
+    // Body kind 0 once asked the server to expand `ops` mallocs of
+    // `size` bytes itself, unchecked against the op cap.
+    for (ops, size) in [(1u32 << 20, 1u32), (4, 64)] {
+        let mut body = vec![0x01]; // Submit
+        body.extend_from_slice(&1u64.to_le_bytes()); // request id
+        body.extend_from_slice(&[0, 0]); // no affinity, body kind 0
+        body.extend_from_slice(&ops.to_le_bytes());
+        body.extend_from_slice(&size.to_le_bytes());
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        assert_eq!(wire.len(), 23);
+        assert_dropped_unanswered(&wire);
+    }
 }
 
 /// A raw client socket to `tier`, bounded so a missing reply fails the
@@ -411,7 +525,7 @@ fn front_end_counters_flow_into_telemetry_samples() {
     let requests = 40;
     let client = run_client(
         tier.local_addr(),
-        &ClientWorkload::Count { ops: 16, size: 128 },
+        phpbb_factory(17),
         &NetClientConfig {
             connections: 2,
             requests,

@@ -20,10 +20,8 @@
 //! while the accounting still balances.
 
 use webmm::alloc::AllocatorKind;
-use webmm::net::{
-    run_client, ClientWorkload, LoadMode, NetClientConfig, NetServer, NetServerConfig,
-};
-use webmm::server::{AdmissionPolicy, Server, ServerConfig};
+use webmm::net::{run_client, LoadMode, NetClientConfig, NetServer, NetServerConfig};
+use webmm::server::{AdmissionPolicy, Server, ServerConfig, TxFactory};
 use webmm::workload::phpbb;
 
 fn usage(problem: &str) -> ! {
@@ -84,11 +82,7 @@ fn main() {
         let started = std::time::Instant::now();
         let client = run_client(
             tier.local_addr(),
-            &ClientWorkload::Stream {
-                spec: phpbb(),
-                scale: 1024,
-                seed: 42,
-            },
+            TxFactory::new(phpbb(), 1024, 42),
             &NetClientConfig {
                 connections: conns,
                 requests: total_tx,

@@ -63,3 +63,9 @@ pub use webmm_runtime as runtime;
 pub use webmm_server as server;
 pub use webmm_sim as sim;
 pub use webmm_workload as workload;
+
+/// The README's code blocks, compiled and run as doctests so its
+/// example stays in step with the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
